@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import sys
 from dataclasses import asdict
@@ -31,12 +32,11 @@ from .bounds import (
 from .estimators import (
     ExceptionSet,
     InfiniteGaugeError,
-    good_turing,
     missing_mass_G,
     missing_mass_Gt,
 )
 from .geometry import GaugeSpec
-from .nnindex import PrefixNNBackend, prefix_min_indexed
+from .nnindex import PrefixNNBackend, leave_one_out_min, prefix_min_indexed
 from .processes import EmbeddingSpec, ProcessSpec, embed, mixing_bounds, simulate
 from .verify import (
     IidBernoulli,
@@ -48,6 +48,8 @@ from .verify import (
 )
 
 __all__ = ["main", "parse_process", "parse_gauge", "parse_embedding"]
+
+logger = logging.getLogger(__name__)
 
 
 def _parse_kv(body: str) -> dict:
@@ -187,7 +189,9 @@ def _cmd_estimate(args) -> int:
         report["t"] = args.t
         report["g_t"] = missing_mass_Gt(profile, args.t)
         if gauge.kind in ("lipschitz", "discrete") and exceptions is None:
-            report["good_turing"] = good_turing(path, gauge, args.t)
+            # estimators.good_turing's isolation fraction, on the chosen backend
+            loo = leave_one_out_min(path, gauge, _backend(args.backend))
+            report["good_turing"] = float(np.count_nonzero(loo > args.t)) / loo.size
         else:
             report["good_turing"] = None
     if args.dump_profile:
@@ -398,7 +402,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as err:
+    except Exception as err:  # every failure leaves as the JSON error, exit 1
+        logger.debug("command failed", exc_info=True)
         message = {"error": {"type": type(err).__name__, "message": str(err)}}
         sys.stderr.write(json.dumps(message) + "\n")
         return 1

@@ -365,6 +365,171 @@ def _neq_row(block: np.ndarray, q) -> np.ndarray:
     return (block != q).any(axis=1).astype(np.float64)
 
 
+# ---------------------------------------------------------------------------
+# certified Gram screen
+#
+# _euclid_min_screened finds, for many queries at once, the exact minimum of
+# _euclid_row over each query's candidate set.  One BLAS product per tile
+# gives every pair's squared distance up to a proven error; a pair whose
+# lower bound exceeds a kernel value already attained in its row cannot be
+# the row minimum, and every other pair is re-evaluated through _euclid_row.
+# The minimum is therefore the kernel's own value, bit for bit, whatever
+# summation order or thread count the BLAS uses.
+#
+# Derivation.  u = 2^-53, eta = 2^-1074 (an underflowing product or scaling
+# errs by at most eta/2; additions never do), gamma_k = k u / (1 - k u)
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Pairs
+# are q, x in R^D, S = ||x - q||^2 in real arithmetic, and
+# K = fl(sqrt(sum_k fl(fl(x_k - q_k)^2))) is the kernel value.
+#
+#  (1) Kernel.  fl(x_k - q_k) = (x_k - q_k)(1 + d), |d| <= u; a square
+#      loses a factor (1 - u) and at most eta/2; a sum of D nonnegative
+#      terms in any order loses at most a factor (1 - gamma_{D-1}); the
+#      square root a factor (1 - u).  So
+#          K^2 >= (1-u)^2 (1-gamma_{D-1}) ((1-u)^3 S - D eta/2),
+#      and K <= UB implies S <= UB^2 (1 + gamma_{D+5}) + D eta.  An
+#      overflowing kernel returns +inf, which satisfies every lower bound.
+#  (2) Centring and scaling.  z = fl(x - c) * 2^s with c the float midrange
+#      of each coordinate and 2^s the power of two that puts max|z| below 1;
+#      the scaling is exact except for underflow.  With t = 2^s (x - q),
+#      a = z_x - z_q and P = ||z_x|| + ||z_q|| <= 2 sqrt(D):
+#          ||t - a|| <= (u / (1-u)) P + 2 sqrt(D) eta,
+#          ||t||^2 >= ||a||^2 - (2u / (1-u)) P^2 - 8 D eta.
+#  (3) Gram form.  Norms n = fl(z.z) and the BLAS products
+#      G = fl(z_q . z_x) each carry at most gamma_D |z_q|.|z_x| + D eta
+#      (any summation order, with or without FMA; classical products only,
+#      no Strassen-type algorithm), and S_hat = fl(n_q + n_x - 2 G) in any
+#      order adds gamma_2 (n_q + n_x + 2|G|).  Since
+#      ||a||^2 = ||z_q||^2 + ||z_x||^2 - 2 z_q.z_x,
+#          ||a||^2 >= S_hat - gamma_{D+2} P^2 - 5 D eta.
+#  (4) ||z||^2 <= (n + D eta) / (1 - gamma_D) and (a + b)^2 <= 2a^2 + 2b^2
+#      give P^2 <= 2 (sqrt(n_q) + sqrt(n_x))^2 / (1 - gamma_D) + 16 D eta.
+#      With r = fl(sqrt(fl(kappa n))), R = fl(r_q + r_x) and
+#      kappa = 4 gamma_{D+4}, fl(R R) >= gamma_{D+4} P^2 - D 2^-501: the
+#      factor 2 left over covers the roundings of kappa, r, R and R R.
+#      As gamma_{D+2} + 2u / (1-u) <= gamma_{D+4}, (2) and (3) give
+#          ||t||^2 >= L / (1+u) - D 2^-500,  L = fl(S_hat - fl(R R)),
+#      for L >= 0; D 2^-500 bounds every eta term, those of the
+#      underflowed norms included.
+#  (5) Prune rule.  With U = UB 2^s, (1) and (4) give: a pair with L > T,
+#          T = fl(U U) (1 + gamma_{2D+16}) + 2 D 2^(2s-1074) + D 2^-499,
+#      has K > UB.  The factor and the doubled terms absorb (1+u), the
+#      underflow of U and the rounding of T itself.  2^(2s-1074) is the
+#      kernel's own underflow in the scaled units: for coordinates near
+#      1e-160 it is large and few pairs are pruned; for subnormal-only data
+#      it overflows and none are.
+#
+# Ranges.  Coordinates are finite and c lies between each coordinate's
+# extremes, so |x - c| <= (hi - lo) / 2 cannot overflow; after scaling,
+# max|z| < 1 makes every screen value finite, so no NaN or overflow reaches
+# the comparison, and norms near 1e154 or above need no fallback.  An
+# overflowing upper bound clamps T to the largest float: every admissible
+# pair of that row is then evaluated exactly.  A row whose upper bound is 0
+# has found its minimum (kernel values are never negative), which keeps
+# exact duplicates from turning a whole row into survivors.
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53
+_TILE = 1 << 18          # float64 entries per screen buffer (2 MB)
+_MAX_COLS = 4096         # candidate rows per tile
+_EXACT_BATCH = 1 << 18   # coordinates gathered per exact re-evaluation batch
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+def _euclid_min_screened(
+    coords: np.ndarray,
+    queries: np.ndarray,
+    limits: np.ndarray,
+    keep: np.ndarray | None = None,
+    labels: np.ndarray | None = None,
+    skip_self: bool = False,
+) -> tuple[np.ndarray, int, int]:
+    """Exact min over candidates of _euclid_row(coords[cand], coords[query]).
+
+    Query r's candidates are the rows i < limits[r] with keep[i] (when
+    given), labels[i] == labels[queries[r]] (when given) and, with
+    skip_self, i != queries[r].  Returns the minima (+inf where no candidate
+    is admissible), the number of screened pairs and the number of exact
+    kernel evaluations.  Pure; the buffers live for one call.
+    """
+    dim = coords.shape[1]
+    m = queries.size
+    mins = np.full(m, np.inf)
+    screened = exact = 0
+
+    # step (2): centre on the midrange, scale by a power of two to max|z| < 1
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    z = coords - (0.5 * lo + 0.5 * hi)
+    amax = float(np.abs(z).max())
+    s = -int(np.frexp(amax)[1]) if amax > 0.0 else 0
+    z = np.ldexp(z, s)
+    norms = np.einsum("ij,ij->i", z, z)
+    rho = np.sqrt(4.0 * _gamma(dim + 4) * norms)
+    t_factor = 1.0 + _gamma(2 * dim + 16)
+    with np.errstate(over="ignore"):
+        t_abs = float(np.ldexp(2.0 * dim, 2 * s - 1074)) + math.ldexp(dim, -499)
+    big = np.finfo(np.float64).max
+
+    cols = min(_MAX_COLS, int(limits.max()))
+    rows = max(1, _TILE // cols)
+    buf = np.empty(rows * cols)
+    rbuf = np.empty(rows * cols)
+    batch = max(1, _EXACT_BATCH // dim)
+
+    for b0 in range(0, m, rows):
+        b1 = min(m, b0 + rows)
+        bq = b1 - b0
+        qb, lim, ub = queries[b0:b1], limits[b0:b1], mins[b0:b1]
+        ar = np.arange(bq)
+        zq = -2.0 * z[qb]
+        top = int(lim.max())
+        for c0 in range(0, top, cols):
+            c1 = min(top, c0 + cols)
+            w = c1 - c0
+            # step (4): L = (n_q + n_x - 2 G) - (r_q + r_x)^2
+            lt = buf[: bq * w].reshape(bq, w)
+            np.matmul(zq, z[c0:c1].T, out=lt)
+            lt += norms[qb, None]
+            lt += norms[None, c0:c1]
+            rt = rbuf[: bq * w].reshape(bq, w)
+            np.add(rho[qb, None], rho[None, c0:c1], out=rt)
+            rt *= rt
+            lt -= rt
+            screened += bq * w
+            # inadmissible pairs get +inf, which the clamped T always prunes
+            if c1 > lim.min():
+                lt[np.arange(c0, c1)[None, :] >= lim[:, None]] = np.inf
+            if keep is not None:
+                lt[:, ~keep[c0:c1]] = np.inf
+            if labels is not None:
+                lt[labels[qb, None] != labels[None, c0:c1]] = np.inf
+            if skip_self:
+                own = (qb >= c0) & (qb < c1)
+                lt[ar[own], qb[own] - c0] = np.inf
+
+            # upper bound: the exact kernel at the screen's best pair
+            best = lt.argmin(axis=1)
+            hit = lt[ar, best] < np.inf
+            rq, cq = ar[hit], best[hit]
+            ub[rq] = np.minimum(ub[rq], _euclid_row(coords[c0 + cq], coords[qb[rq]]))
+            exact += rq.size
+            lt[rq, cq] = np.inf
+
+            # step (5): evaluate exactly every pair the rule cannot prune
+            uu = np.ldexp(ub, s)
+            thr = np.minimum(uu * uu * t_factor + t_abs, big)
+            thr[ub == 0.0] = -np.inf
+            sr, sc = np.nonzero(lt <= thr[:, None])
+            for k0 in range(0, sr.size, batch):
+                r_k, c_k = sr[k0: k0 + batch], sc[k0: k0 + batch]
+                np.minimum.at(ub, r_k, _euclid_row(coords[c0 + c_k], coords[qb[r_k]]))
+            exact += sr.size
+    return mins, screened, exact
+
+
 def base_metric_kind(gauge: GaugeSpec) -> str | None:
     """Base metric that the gauge is a nondecreasing transform of.
 

@@ -13,7 +13,8 @@ as float64 rows.
     bytes 12..15 D      uint32, coordinate dimension (1 for symbol paths)
 
 Rows carry the D coordinates, then the label or target column if the variant
-has one.  Symbols are stored as float64 (exact for values below 2^53).
+has one.  Symbols are stored as float64, which is exact only below 2^53, so
+the writer rejects larger symbols.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = ["write_path_csv", "read_path_csv", "write_path_bin", "read_path_bin",
 _VARIANT_BYTE = {"coords": b"c", "symbol": b"s", "labeled": b"l", "paired": b"p"}
 _BYTE_VARIANT = {v: k for k, v in _VARIANT_BYTE.items()}
 _HEADER = struct.Struct("<4sQI")
+_MAX_BIN_SYMBOL = 2 ** 53
 
 
 def _fmt(x: float) -> str:
@@ -99,6 +101,10 @@ def write_path_bin(path: SamplePath, file) -> None:
     file = FsPath(file)
     n = len(path)
     if path.kind == "symbol":
+        top = int(path.symbols.max())
+        if top >= _MAX_BIN_SYMBOL:
+            raise ValueError(f"symbol {top} does not fit the binary format's float64 "
+                             f"column (symbols must be below 2^53); use CSV")
         dim = 1
         payload = path.symbols.astype(np.float64).reshape(n, 1)
     else:

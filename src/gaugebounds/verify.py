@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .bounds import MixingProfile, excess_loss_probability_bound
 from .estimators import (
@@ -67,6 +66,9 @@ class TrialReport:
 def binomial_pass(violations: int, trials: int, target: float,
                   level: float = _PASS_LEVEL) -> tuple[bool, float]:
     """Exact one-sided binomial upper test of rate <= target."""
+    # imported here: scipy.stats costs every CLI process ~0.4 s to load
+    from scipy import stats
+
     p_value = float(stats.binom.sf(violations - 1, trials, target))
     return p_value >= level, p_value
 
@@ -85,6 +87,11 @@ def _report(violations: int, trials: int, target: float) -> TrialReport:
 
 def _philox(entropy) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _trial_seeds(seed: int, count: int) -> np.ndarray:
@@ -207,6 +214,7 @@ def validate_excess_loss_coverage(
     over the L-Lipschitz class).  The truth side is exact on finite state
     spaces and Monte Carlo (with a 3-standard-error allowance) otherwise.
     """
+    _check_count("trials", trials)
     if proc.kind == "iid":
         mixing = MixingProfile(tau=tau, phi_tau=0.0, alpha_tau=0.0)
     else:
@@ -270,6 +278,7 @@ def validate_good_turing(
     symbol is unseen (for the missing mass) or a singleton (for the
     estimator), so both sides reduce to exact counting.
     """
+    _check_count("trials", trials)
     if n_symbols < 2:
         raise ValueError("need at least 2 symbols")
     if n < 2:
@@ -339,6 +348,7 @@ def decay_study(
     Sizes not exceeding tau are skipped with a notice: the estimator is
     empty there.
     """
+    _check_count("n_seeds", n_seeds)
     emb = emb or EmbeddingSpec.identity()
     sizes = sorted(int(s) for s in sizes)
     if not sizes:

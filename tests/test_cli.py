@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import gaugebounds
 from gaugebounds import GaugeSpec, ProcessSpec, missing_mass_G, prefix_min_profile, simulate
+from gaugebounds import cli
 from gaugebounds.cli import main, parse_embedding, parse_gauge, parse_process
 
 
@@ -243,3 +248,58 @@ class TestDeterminismAndErrors:
                     "--tau", "5"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "tau" in err["error"]["message"]
+
+
+class TestRejectedInputs:
+    def error_of(self, capsys, args):
+        assert run(args) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_good_turing_with_zero_trials(self, capsys, tmp_path):
+        err = self.error_of(capsys, ["validate", "--check", "good-turing", "--trials", "0",
+                                     "--out", str(tmp_path / "v.json")])
+        assert err["type"] == "ValueError" and "trials" in err["message"]
+        assert not (tmp_path / "v.json").exists()
+
+    def test_coverage_with_zero_trials(self, capsys, tmp_path):
+        err = self.error_of(capsys, ["validate", "--check", "coverage", "--trials", "0",
+                                     "--n", "16", "--out", str(tmp_path / "v.json")])
+        assert err["type"] == "ValueError" and "trials" in err["message"]
+
+    def test_study_with_zero_seeds(self, capsys, tmp_path):
+        err = self.error_of(capsys, ["study", "--process", "circle:p=0.5", "--tau", "1",
+                                     "--sizes", "16", "--n-seeds", "0",
+                                     "--out", str(tmp_path / "t.csv")])
+        assert err["type"] == "ValueError" and "n_seeds" in err["message"]
+
+    def test_any_exception_becomes_the_json_error(self, capsys, monkeypatch):
+        def broken(_args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "_cmd_bound", broken)
+        err = self.error_of(capsys, ["bound", "--n", "10", "--tau", "1", "--delta", "0.1"])
+        assert err == {"type": "ZeroDivisionError", "message": "division by zero"}
+
+
+def test_indexed_good_turing_matches_naive(tmp_path):
+    pfile = tmp_path / "p.csv"
+    assert run(["simulate", "--process", "torus:p=0.1", "--embedding", "raster:scaling=true",
+                "--n", "200", "--seed", "3", "--out", str(pfile)]) == 0
+    reports = {}
+    for backend in ("naive", "indexed"):
+        rfile = tmp_path / f"{backend}.json"
+        assert run(["estimate", "--in", str(pfile), "--gauge", "lipschitz:L=1", "--tau", "2",
+                    "--t", "0.3", "--backend", backend, "--out", str(rfile)]) == 0
+        reports[backend] = load_json(rfile)
+    for key in ("g", "g_t", "good_turing"):
+        assert reports["naive"][key] == reports["indexed"][key]
+    assert 0.0 < reports["indexed"]["good_turing"] < 1.0
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(gaugebounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gaugebounds.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

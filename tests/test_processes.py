@@ -263,6 +263,15 @@ class TestPathIO:
         assert int.from_bytes(blob[12:16], "little") == 2
         assert len(blob) == 16 + 2 * 2 * 8
 
+    def test_bin_symbols_round_trip_up_to_float64_exactness(self, tmp_path):
+        big = 2 ** 53 - 1
+        path = SamplePath.from_symbols([0, 7, big])
+        back = self.roundtrip(path, tmp_path, "bin")
+        assert back.symbols.tolist() == [0, 7, big]
+        for symbol in (2 ** 53, 2 ** 53 + 1):
+            with pytest.raises(ValueError, match=str(symbol)):
+                pathio.write_path_bin(SamplePath.from_symbols([1, symbol]), tmp_path / "s.bin")
+
     def test_corrupt_files_rejected(self, tmp_path):
         f = tmp_path / "bad.bin"
         f.write_bytes(b"XXXX" + b"\0" * 12)
