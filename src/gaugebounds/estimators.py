@@ -31,7 +31,16 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GaugeSpec, SamplePath, check_gauge_path, gauge_row
+from .geometry import (
+    _TILE,
+    GaugeSpec,
+    SamplePath,
+    _euclid_row,
+    base_metric_kind,
+    check_gauge_path,
+    distance_transform,
+    gauge_block,
+)
 
 __all__ = [
     "ExceptionSet",
@@ -167,25 +176,24 @@ def naive_prefix_mins(
             f"no admissible prefix index for path position {tau} "
             "(position 0 is excluded); the estimator is undefined there"
         )
+    # number of admissible candidates for entry j is the count of keep <= j
+    upto = np.searchsorted(keep, np.arange(n_eff), side="right")
     mins = np.empty(n_eff, dtype=np.float64)
-    evaluations = 0
-    if keep.size == n_eff:
-        # no exceptions: candidate sets are contiguous prefixes, so slices
-        # (views) replace fancy indexing; the arithmetic is unchanged
-        for j in range(n_eff):
-            row = gauge_row(gauge, path, tau + j, slice(0, j + 1))
-            mins[j] = row.min()
-            evaluations += j + 1
-    else:
-        # number of admissible candidates for entry j is the count of keep <= j
-        upto = np.searchsorted(keep, np.arange(n_eff), side="right")
-        for j in range(n_eff):
-            cand = keep[: upto[j]]
-            row = gauge_row(gauge, path, tau + j, cand)
-            mins[j] = row.min()
-            evaluations += cand.size
+    rows = max(1, _TILE // keep.size)
+    for j0 in range(0, n_eff, rows):
+        j1 = min(n_eff, j0 + rows)
+        lo, hi = upto[j0], upto[j1 - 1]
+        # without exceptions the candidates are a contiguous prefix, and a
+        # slice (view) replaces fancy indexing; the arithmetic is unchanged
+        cand = slice(0, hi) if keep.size == n_eff else keep[:hi]
+        vals = gauge_block(gauge, path, tau + np.arange(j0, j1), cand)
+        # the first lo candidates are admissible for every row of the block,
+        # the rest only for the rows at or after their position
+        tail = vals[:, lo:]
+        tail[keep[None, lo:hi] > np.arange(j0, j1)[:, None]] = np.inf
+        mins[j0:j1] = vals.min(axis=1)
     if count_sink is not None:
-        count_sink.append(evaluations)
+        count_sink.append(int(upto.sum()))
     return mins
 
 
@@ -230,10 +238,12 @@ def leave_one_out_mins(path: SamplePath, gauge: GaugeSpec) -> np.ndarray:
         raise ValueError("need at least two points")
     check_gauge_path(gauge, path)
     out = np.empty(n, dtype=np.float64)
-    idx = np.arange(n, dtype=np.intp)
-    for k in range(n):
-        cand = np.concatenate((idx[:k], idx[k + 1:]))
-        out[k] = gauge_row(gauge, path, k, cand).min()
+    rows = max(1, _TILE // n)
+    for k0 in range(0, n, rows):
+        k1 = min(n, k0 + rows)
+        vals = gauge_block(gauge, path, np.arange(k0, k1), slice(0, n))
+        vals[np.arange(k1 - k0), np.arange(k0, k1)] = np.inf
+        out[k0:k1] = vals.min(axis=1)
     return out
 
 
@@ -283,13 +293,17 @@ class MissingMassEstimate:
     n_draws: int
 
 
+def _joined(a: SamplePath, b: SamplePath) -> SamplePath:
+    """a's points followed by b's, for coordinate-based paths of one variant."""
+    def cat(x, y):
+        return None if x is None else np.concatenate((x, y))
+
+    return SamplePath(kind=a.kind, coords=cat(a.coords, b.coords),
+                      labels=cat(a.labels, b.labels), targets=cat(a.targets, b.targets))
+
+
 def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) -> np.ndarray:
-    """min over sample points of g(fresh_point, X_i), per fresh point.
-
-    Blocked and vectorized; only the minima are consumed downstream.
-    """
-    from .geometry import base_metric_kind, distance_transform
-
+    """min over sample points of g(fresh_point, X_i), per fresh point."""
     if fresh.kind != path.kind or fresh.dim != path.dim:
         raise ValueError("fresh draws must live in the sample path's space")
     check_gauge_path(gauge, path)
@@ -307,20 +321,24 @@ def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) ->
             )
         return np.asarray(transform(unseen.astype(np.float64)), dtype=np.float64)
 
+    if path.kind == "coords" and path.dim == 1:
+        # the kernel's minimum over a sorted D = 1 set sits at the query's
+        # predecessor or successor (argument beside geometry._euclid_row);
+        # searchsorted puts the elements below q before pos, the rest after
+        xs = np.sort(path.coords[:, 0])
+        pos = np.searchsorted(xs, fresh.coords[:, 0])
+        below = xs[np.maximum(pos - 1, 0), None]
+        above = xs[np.minimum(pos, xs.size - 1), None]
+        dist = np.minimum(_euclid_row(below, fresh.coords), _euclid_row(above, fresh.coords))
+        return np.asarray(transform(dist), dtype=np.float64)
+
     n = len(path)
-    dim = path.dim
+    joined = _joined(fresh, path)
     out = np.empty(m, dtype=np.float64)
-    block = max(1, 2_000_000 // max(1, n * dim))
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        diff = fresh.coords[lo:hi, None, :] - path.coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        vals = np.asarray(transform(dist), dtype=np.float64)
-        if gauge.kind == "hinge":
-            vals = np.where(fresh.labels[lo:hi, None] == path.labels[None, :], vals, np.inf)
-        elif gauge.kind == "regression":
-            vals = vals + np.abs(fresh.targets[lo:hi, None] - path.targets[None, :])
-        out[lo:hi] = vals.min(axis=1)
+    rows = max(1, _TILE // n)
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
+        out[lo:hi] = gauge_block(gauge, joined, np.arange(lo, hi), slice(m, m + n)).min(axis=1)
     return out
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "GreedyCover",
     "eval_gauge",
     "eval_phi",
+    "gauge_block",
     "greedy_cover",
     "pairwise_gauge",
     "gauge_diameter",
@@ -348,21 +349,73 @@ class FunctionSample:
 # ---------------------------------------------------------------------------
 # distance kernels
 #
-# Every Euclidean distance in the package flows through _euclid_row so the
+# Every Euclidean distance in the package is _euclid_row's value, so the
 # naive scan and the metric index produce bit-identical floats.  The per-row
 # reduction over D components is numpy's fixed-length pairwise sum, which is
 # deterministic for a given D and dtype.
+#
+# _euclid_block is the same kernel for a block of queries: per pair it does
+# the same element operations (candidate minus query, square, a sum over the
+# contiguous last axis of length D, square root), so each of its values is
+# _euclid_row's bit for bit, whatever the tile shape.  Tiles hold at most
+# _TILE coordinates and reuse one buffer through out= arguments.
+#
+# At D = 1 the minimum over a point set needs only the two sorted neighbours
+# of the query: for a fixed q, fl(x - q) is nondecreasing in x (rounding is
+# monotone), so |fl(x - q)| falls up to q and rises after it, and the
+# square, the square root and every distance_transform are nondecreasing.
+# The kernel's minimum over a sorted set therefore sits at the largest
+# element below q or the smallest at or above it, ties included (+-0.0
+# differences square to the same +0.0).
 # ---------------------------------------------------------------------------
+
+_TILE = 1 << 18          # float64 entries per kernel or screen buffer (2 MB)
+
 
 def _euclid_row(block: np.ndarray, q: np.ndarray) -> np.ndarray:
     diff = block - q
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def _neq_row(block: np.ndarray, q) -> np.ndarray:
+def _tile_shape(m: int, c: int, dim: int) -> tuple[int, int]:
+    """Rows and columns of an (m, c) pair tile of at most _TILE coordinates
+    (one pair, when a single pair has more)."""
+    cols = max(1, min(c, _TILE // dim))
+    return max(1, min(m, _TILE // (cols * dim))), cols
+
+
+def _tiles(m: int, c: int, rows: int, cols: int):
+    for r0 in range(0, m, rows):
+        for c0 in range(0, c, cols):
+            yield slice(r0, min(m, r0 + rows)), slice(c0, min(c, c0 + cols))
+
+
+def _euclid_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """out[r, i] = _euclid_row(block, queries[r])[i], bit for bit."""
+    m, dim = queries.shape
+    c = block.shape[0]
+    out = np.empty((m, c))
+    rows, cols = _tile_shape(m, c, dim)
+    buf = np.empty(rows * cols * dim)
+    for rs, cs in _tiles(m, c, rows, cols):
+        shape = (rs.stop - rs.start, cs.stop - cs.start, dim)
+        diff = buf[: math.prod(shape)].reshape(shape)
+        np.subtract(block[None, cs], queries[rs, None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=2, out=out[rs, cs])
+    return np.sqrt(out, out=out)
+
+
+def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """out[r, i] = 1.0 where block[i] differs from queries[r], else 0.0."""
     if block.ndim == 1:
-        return (block != q).astype(np.float64)
-    return (block != q).any(axis=1).astype(np.float64)
+        return (block[None, :] != queries[:, None]).astype(np.float64)
+    m, dim = queries.shape
+    c = block.shape[0]
+    out = np.empty((m, c))
+    for rs, cs in _tiles(m, c, *_tile_shape(m, c, dim)):
+        out[rs, cs] = (block[None, cs] != queries[rs, None]).any(axis=2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +483,6 @@ def _neq_row(block: np.ndarray, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53
-_TILE = 1 << 18          # float64 entries per screen buffer (2 MB)
 _MAX_COLS = 4096         # candidate rows per tile
 _EXACT_BATCH = 1 << 18   # coordinates gathered per exact re-evaluation batch
 
@@ -595,29 +647,40 @@ def check_gauge_path(gauge: GaugeSpec, path: SamplePath) -> None:
         )
 
 
-def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarray:
-    """Gauge values g(X[query], X[i]) for i in cand, vectorized over cand.
+def _as_index(idx):
+    return idx if isinstance(idx, slice) else np.asarray(idx, dtype=np.intp)
 
-    cand is an index array or a slice; slices index by view, which matters
-    for the quadratic scans.
+
+def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray:
+    """Gauge values g(X[q], X[i]) for q in queries (rows) and i in cand
+    (columns), as a (len(queries), len(cand)) float64 array.
+
+    queries and cand are index arrays or slices; slices index by view, which
+    matters for the quadratic scans.  Every value equals the one-query
+    kernel's bit for bit, so blocking changes only how rows are grouped.
+    This is the one place that gates hinge pairs by label and adds
+    regression targets.
     """
     check_gauge_path(gauge, path)
-    if not isinstance(cand, slice):
-        cand = np.asarray(cand, dtype=np.intp)
+    queries, cand = _as_index(queries), _as_index(cand)
     transform = distance_transform(gauge)
     if path.kind == "symbol":
-        d = _neq_row(path.symbols[cand], path.symbols[query])
-        return transform(d)
+        return transform(_neq_block(path.symbols[cand], path.symbols[queries]))
     if base_metric_kind(gauge) == "discrete":
-        d = _neq_row(path.coords[cand], path.coords[query])
-        return transform(d)
-    d = _euclid_row(path.coords[cand], path.coords[query])
+        return transform(_neq_block(path.coords[cand], path.coords[queries]))
+    vals = transform(_euclid_block(path.coords[cand], path.coords[queries]))
     if gauge.kind == "hinge":
-        out = np.asarray(transform(d), dtype=np.float64)
-        return np.where(path.labels[cand] == path.labels[query], out, np.inf)
+        same = path.labels[queries][:, None] == path.labels[cand][None, :]
+        return np.where(same, vals, np.inf)
     if gauge.kind == "regression":
-        return transform(d) + np.abs(path.targets[cand] - path.targets[query])
-    return transform(d)
+        return vals + np.abs(path.targets[cand][None, :] - path.targets[queries][:, None])
+    return vals
+
+
+def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarray:
+    """Gauge values g(X[query], X[i]) for i in cand: gauge_block's one-query
+    case."""
+    return gauge_block(gauge, path, np.array([query], dtype=np.intp), cand)[0]
 
 
 def eval_gauge(gauge: GaugeSpec, y: Point, x: Point) -> float:
@@ -667,13 +730,9 @@ def eval_phi(gauge: GaugeSpec, fs: FunctionSample, i: int) -> float:
 
 def pairwise_gauge(gauge: GaugeSpec, path: SamplePath) -> np.ndarray:
     """Full (n, n) matrix of g(X_a, X_b).  All built-in variants are
-    symmetric; the matrix is computed row-wise from the definition anyway."""
+    symmetric; the matrix is computed from the definition anyway."""
     n = len(path)
-    out = np.empty((n, n), dtype=np.float64)
-    idx = np.arange(n)
-    for a in range(n):
-        out[a] = gauge_row(gauge, path, a, idx)
-    return out
+    return gauge_block(gauge, path, slice(0, n), slice(0, n))
 
 
 def gauge_diameter(gauge: GaugeSpec, path: SamplePath) -> float:

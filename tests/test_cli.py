@@ -303,3 +303,52 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+class TestMalformedSpecs:
+    """A malformed --process/--gauge/--embedding spec leaves every subcommand
+    as the JSON error with exit 1, before any output is written."""
+
+    def error_of(self, capsys, args):
+        assert run(args) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_simulate(self, capsys, tmp_path):
+        out = tmp_path / "p.csv"
+        err = self.error_of(capsys, ["simulate", "--process", "torus:p", "--n", "8",
+                                     "--out", str(out)])
+        assert err == {"type": "ValueError", "message": "expected key=value, got 'p'"}
+        assert not out.exists()
+
+    def test_estimate(self, capsys, tmp_path):
+        pfile = tmp_path / "p.csv"
+        pfile.write_text("c0\n0\n1\n0.5\n")
+        out = tmp_path / "r.json"
+        err = self.error_of(capsys, ["estimate", "--in", str(pfile), "--gauge", "lipschitz:L=",
+                                     "--tau", "1", "--out", str(out)])
+        assert err["type"] == "ValueError" and "float" in err["message"]
+        assert not out.exists()
+
+    def test_bound(self, capsys, tmp_path):
+        out = tmp_path / "b.json"
+        err = self.error_of(capsys, ["bound", "--kind", "risk", "--g", "0.1", "--n", "10",
+                                     "--tau", "1", "--delta", "0.1", "--process", "torus:p",
+                                     "--out", str(out)])
+        assert err == {"type": "ValueError", "message": "expected key=value, got 'p'"}
+        assert not out.exists()
+
+    def test_validate(self, capsys, tmp_path):
+        out = tmp_path / "v.json"
+        err = self.error_of(capsys, ["validate", "--check", "coverage", "--embedding",
+                                     "raster:scaling", "--n", "16", "--trials", "2",
+                                     "--out", str(out)])
+        assert err == {"type": "ValueError", "message": "expected key=value, got 'scaling'"}
+        assert not out.exists()
+
+    def test_study(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        err = self.error_of(capsys, ["study", "--process", "circle:p=0.5", "--gauge",
+                                     "lipschitz:L=", "--tau", "1", "--sizes", "16",
+                                     "--out", str(out)])
+        assert err["type"] == "ValueError" and "float" in err["message"]
+        assert not out.exists()

@@ -167,6 +167,22 @@ class TestTelemetry:
         expected = sum(sum(1 for i in keep if i <= j) for j in range(n_eff))
         assert backend.distance_evaluations == expected
 
+    @pytest.mark.parametrize("exclude", [(), (1, 7, 56)])
+    def test_naive_counts_are_the_definitional_pair_counts(self, exclude):
+        # row blocking evaluates masked pairs too; the count stays the
+        # definition's: n_eff (n_eff + 1) / 2 less the excluded pairs, n (n - 1)
+        rng = np.random.default_rng(4)
+        n, tau = 300, 3
+        n_eff = n - tau
+        path = SamplePath.from_coords(rng.random((n, 2)))
+        exc = ExceptionSet(indices=exclude, n_eff=n_eff)
+        backend = PrefixNNBackend.naive()
+        prefix_min_indexed(path, GaugeSpec.lipschitz(1.0), tau, exc, backend)
+        expected = n_eff * (n_eff + 1) // 2 - sum(n_eff - i for i in exclude)
+        assert backend.distance_evaluations == expected
+        leave_one_out_min(path, GaugeSpec.lipschitz(1.0), backend)
+        assert backend.distance_evaluations == n * (n - 1)
+
     def test_discrete_index_count_well_below_quadratic(self):
         spec = ProcessSpec.cycle_chain(16, 0.3, seed=5)
         path = simulate(spec, 64)

@@ -45,8 +45,8 @@ GAUGES = {
 
 
 @st.composite
-def adversarial_coords(draw):
-    dim = draw(st.sampled_from([SCREEN_MIN_DIM, 256]))
+def adversarial_coords(draw, dims=(SCREEN_MIN_DIM, 256)):
+    dim = draw(st.sampled_from(dims))
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e50, 1e150, -1e150]))
