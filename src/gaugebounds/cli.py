@@ -52,21 +52,27 @@ __all__ = ["main", "parse_process", "parse_gauge", "parse_embedding"]
 logger = logging.getLogger(__name__)
 
 
-def _parse_kv(body: str) -> dict:
-    out = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
-            raise ValueError(f"expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+class _SpecKeys(dict):
+    """The key=value pairs of one spec; a missing required key names the spec."""
+
+    def __init__(self, text: str, body: str):
+        super().__init__()
+        self.text = text
+        if not body:
+            return
+        for item in body.split(","):
+            if "=" not in item:
+                raise ValueError(f"expected key=value, got {item!r}")
+            key, value = item.split("=", 1)
+            self[key.strip()] = value.strip()
+
+    def __missing__(self, key):
+        raise ValueError(f"spec {self.text!r} is missing the key {key!r}")
 
 
 def _split_spec(text: str) -> tuple[str, dict]:
     name, _, body = text.partition(":")
-    return name.strip().lower(), _parse_kv(body)
+    return name.strip().lower(), _SpecKeys(text, body)
 
 
 def parse_process(text: str, seed: int = 0) -> ProcessSpec:
@@ -164,11 +170,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    path = pathio.read_path(args.infile, args.format)
     gauge = parse_gauge(args.gauge)
+    indices = tuple(int(i) for i in args.exclude.split(",")) if args.exclude else None
+    path = pathio.read_path(args.infile, args.format)
     exceptions = None
-    if args.exclude:
-        indices = tuple(int(i) for i in args.exclude.split(","))
+    if indices is not None:
         exceptions = ExceptionSet(indices=indices, n_eff=len(path) - args.tau)
     backend = _backend(args.backend)
     profile = prefix_min_indexed(path, gauge, args.tau, exceptions, backend)

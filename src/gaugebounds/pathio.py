@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -36,65 +37,85 @@ _HEADER = struct.Struct("<4sQI")
 _MAX_BIN_SYMBOL = 2 ** 53
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# rows per write: whole-file strings would raise the writer's peak memory
+_WRITE_ROWS = 1024
+
+
+def _csv_layout(path: SamplePath) -> tuple[list[str], list[np.ndarray], str]:
+    """Header, (n, k) column blocks and %-format of one row (CRLF included)."""
+    if path.kind == "symbol":
+        return ["symbol"], [path.symbols.reshape(-1, 1)], "%d\r\n"
+    header = [f"c{i}" for i in range(path.dim)]
+    columns = [path.coords]
+    fmt = ",".join(["%.17g"] * path.dim)
+    if path.kind == "labeled":
+        header.append("label")
+        columns.append(path.labels.reshape(-1, 1))
+        fmt += ",%d"
+    elif path.kind == "paired":
+        header.append("target")
+        columns.append(path.targets.reshape(-1, 1))
+        fmt += ",%.17g"
+    return header, columns, fmt + "\r\n"
 
 
 def write_path_csv(path: SamplePath, file) -> None:
-    file = FsPath(file)
-    with file.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if path.kind == "symbol":
-            writer.writerow(["symbol"])
-            for s in path.symbols:
-                writer.writerow([int(s)])
-            return
-        dim = path.dim
-        header = [f"c{i}" for i in range(dim)]
-        if path.kind == "labeled":
-            header.append("label")
-        elif path.kind == "paired":
-            header.append("target")
-        writer.writerow(header)
-        for i in range(len(path)):
-            row = [_fmt(v) for v in path.coords[i]]
-            if path.kind == "labeled":
-                row.append(str(int(path.labels[i])))
-            elif path.kind == "paired":
-                row.append(_fmt(path.targets[i]))
-            writer.writerow(row)
+    header, columns, fmt = _csv_layout(path)
+    with FsPath(file).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(path), _WRITE_ROWS):
+            blocks = [col[start:start + _WRITE_ROWS].tolist() for col in columns]
+            rows = blocks[0] if len(blocks) == 1 else [x + y for x, y in zip(*blocks)]
+            fh.write("".join([fmt % tuple(row) for row in rows]))
+
+
+def _field_count_error(file: FsPath, width: int) -> ValueError | None:
+    """The first data row whose field count is not `width`, as the reader's error."""
+    with file.open("r", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate((row for row in reader if row), start=2):
+            if len(row) != width:
+                return ValueError(f"{file}:{lineno}: expected {width} fields, got {len(row)}")
+    return None
 
 
 def read_path_csv(file) -> SamplePath:
     file = FsPath(file)
     with file.open("r", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{file}: empty path file") from None
-        rows = [row for row in reader if row]
-    if header == ["symbol"]:
-        return SamplePath.from_symbols([int(r[0]) for r in rows])
-    extra = None
-    if header and header[-1] in ("label", "target"):
-        extra = header[-1]
-        coord_names = header[:-1]
-    else:
-        coord_names = header
-    if coord_names != [f"c{i}" for i in range(len(coord_names))] or not coord_names:
-        raise ValueError(f"{file}: unrecognized path CSV header {header!r}")
-    dim = len(coord_names)
-    width = dim + (1 if extra else 0)
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ValueError(f"{file}:{lineno}: expected {width} fields, got {len(row)}")
-    coords = np.array([[float(v) for v in row[:dim]] for row in rows], dtype=np.float64)
-    if extra == "label":
-        return SamplePath.from_labeled(coords, [int(row[dim]) for row in rows])
-    if extra == "target":
-        return SamplePath.from_paired(coords, [float(row[dim]) for row in rows])
-    return SamplePath.from_coords(coords)
+        if header == ["symbol"]:
+            fields = [("symbol", np.int64)]
+        else:
+            extra = header[-1] if header and header[-1] in ("label", "target") else None
+            coord_names = header[:-1] if extra else header
+            if coord_names != [f"c{i}" for i in range(len(coord_names))] or not coord_names:
+                raise ValueError(f"{file}: unrecognized path CSV header {header!r}")
+            fields = [("coords", np.float64, (len(coord_names),))]
+            if extra:
+                fields.append((extra, np.int64 if extra == "label" else np.float64))
+        dtype = np.dtype(fields)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is rejected below, as an empty path
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+        except ValueError as err:
+            bad = _field_count_error(file, len(header))
+            if bad is None:
+                raise
+            raise bad from err
+    if "symbol" in dtype.names:
+        return SamplePath.from_symbols(data["symbol"])
+    if "label" in dtype.names:
+        return SamplePath.from_labeled(data["coords"], data["label"])
+    if "target" in dtype.names:
+        return SamplePath.from_paired(data["coords"], data["target"])
+    return SamplePath.from_coords(data["coords"])
 
 
 def write_path_bin(path: SamplePath, file) -> None:

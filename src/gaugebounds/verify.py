@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,13 +64,80 @@ class TrialReport:
             raise ValueError("violations cannot exceed trials")
 
 
+def _binomial_tail(v: int, n: int, p: float) -> float:
+    """P[Binomial(n, p) >= v], rounded once from the exact rational value.
+
+    p is the dyadic rational a / 2^e, so every term T_i = C(n, i) p^i
+    (1-p)^(n-i) is exact and T_{i+1} / T_i = (n-i) a / ((i+1) (2^e - a)).
+    The sum runs away from the mode, where the terms fall: upward from v
+    when v lies above the mode, otherwise downward from v - 1 with the
+    result 1 - sum.  Beyond the mode each ratio is below 1 and below the one
+    before it, so the terms left after T_i sum to at most T_i r / (1 - r),
+    r being the next ratio.  Integers lo <= T_i 2^F <= hi, scaled so the
+    first term has `guard` bits, bracket every term; the sum stops once
+    both ends of the bracket on the result round to the same double
+    (int / int true division rounds correctly, subnormals and 0.0
+    included).  Otherwise the guard bits double (Ziv's strategy).  Once
+    they cover the first term's numerator every step is exact, so exact
+    ties between two doubles terminate too.
+    """
+    if v <= 0:
+        return 1.0
+    if v > n or p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    a, b = p.as_integer_ratio()
+    e = b.bit_length() - 1
+    c = b - a
+    upper = v > ((n + 1) * a) >> e
+    i0 = v if upper else v - 1
+    exact = math.comb(n, i0) * a ** i0 * c ** (n - i0)   # T_i0 * 2^(e n)
+    guard = 64 + 2 * n.bit_length()
+    while True:
+        shift = exact.bit_length() - guard
+        lo = exact >> shift if shift > 0 else exact << -shift
+        hi = lo + (shift > 0 and exact & ((1 << shift) - 1) != 0)
+        one = 1 << (e * n - shift)
+        s_lo = s_hi = 0
+        i = i0
+        while True:
+            s_lo += lo
+            s_hi += hi
+            if upper:
+                num, den, last = (n - i) * a, (i + 1) * c, i == n
+                i += 1
+            else:
+                num, den, last = i * c, (n - i + 1) * a, i == 0
+                i -= 1
+            rem = 0 if last else -(-hi * num // (den - num))
+            if upper:
+                q_lo, q_hi = s_lo / one, (s_hi + rem) / one
+            else:
+                q_lo, q_hi = (one - s_hi - rem) / one, (one - s_lo) / one
+            if q_lo == q_hi:
+                return q_lo
+            if last:
+                break
+            lo = lo * num // den
+            hi = -(-hi * num // den)
+        guard *= 2
+
+
 def binomial_pass(violations: int, trials: int, target: float,
                   level: float = _PASS_LEVEL) -> tuple[bool, float]:
-    """Exact one-sided binomial upper test of rate <= target."""
-    # imported here: scipy.stats costs every CLI process ~0.4 s to load
-    from scipy import stats
+    """Exact one-sided binomial upper test of rate <= target.
 
-    p_value = float(stats.binom.sf(violations - 1, trials, target))
+    The p-value P[Binomial(trials, target) >= violations] is the exact tail
+    rounded once to the nearest double.
+    """
+    violations, trials, target = operator.index(violations), operator.index(trials), float(target)
+    _check_count("trials", trials)
+    if not 0.0 <= target <= 1.0:
+        raise ValueError(f"target must be a probability in [0, 1], got {target!r}")
+    if not 0 <= violations <= trials:
+        raise ValueError(f"violations must lie in [0, trials={trials}], got {violations}")
+    p_value = _binomial_tail(violations, trials, target)
     return p_value >= level, p_value
 
 

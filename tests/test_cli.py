@@ -296,13 +296,24 @@ def test_indexed_good_turing_matches_naive(tmp_path):
     assert 0.0 < reports["indexed"]["good_turing"] < 1.0
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(gaugebounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, gaugebounds.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    runs = [
+        ["--check", "coverage", "--n", "16", "--trials", "3", "--mc-fresh", "50"],
+        ["--check", "good-turing", "--n", "20", "--trials", "3"],
+        ["--check", "martingale", "--n", "20", "--trials", "100"],
+    ]
+    code = ("import json, sys, gaugebounds.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "for i, args in enumerate(json.loads(sys.argv[1])):\n"
+            "    out = f'{sys.argv[2]}/v{i}.json'\n"
+            "    assert gaugebounds.cli.main(['validate', *args, '--out', out]) == 0\n"
+            "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False", "False"]
+    assert [load_json(tmp_path / f"v{i}.json")["passed"] for i in range(len(runs))] == [True] * 3
 
 
 class TestMalformedSpecs:
@@ -352,3 +363,25 @@ class TestMalformedSpecs:
                                      "--out", str(out)])
         assert err["type"] == "ValueError" and "float" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, spec, key", [
+        (["study", "--process", "cycle:p=0.5", "--tau", "1", "--sizes", "16"], "cycle:p=0.5", "N"),
+        (["study", "--process", "circle:p=0.5", "--gauge", "smooth:gamma=1", "--tau", "1",
+          "--sizes", "16"], "smooth:gamma=1", "lambda"),
+        (["simulate", "--process", "circle:p=0.5", "--embedding", "fourier", "--n", "8"],
+         "fourier", "D"),
+    ])
+    def test_missing_key_names_the_spec(self, capsys, tmp_path, args, spec, key):
+        out = tmp_path / "out.csv"
+        err = self.error_of(capsys, args + ["--out", str(out)])
+        assert err == {"type": "ValueError",
+                       "message": f"spec {spec!r} is missing the key {key!r}"}
+        assert not out.exists()
+
+    def test_estimate_parses_specs_before_reading(self, capsys, tmp_path):
+        err = self.error_of(capsys, ["estimate", "--in", str(tmp_path / "missing.csv"),
+                                     "--gauge", "lipschitz:L=", "--tau", "1"])
+        assert err["type"] == "ValueError" and "float" in err["message"]
+        err = self.error_of(capsys, ["estimate", "--in", str(tmp_path / "missing.csv"),
+                                     "--gauge", "lipschitz:L=1", "--tau", "1", "--exclude", "1,x"])
+        assert err["type"] == "ValueError" and "'x'" in err["message"]

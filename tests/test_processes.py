@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -281,6 +283,89 @@ class TestPathIO:
         g.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             pathio.read_path_csv(g)
+
+
+def _csv_writer_bytes(path) -> bytes:
+    """The path as csv.writer writes it, row by row: the reference file."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    if path.kind == "symbol":
+        writer.writerow(["symbol"])
+        writer.writerows([[int(s)] for s in path.symbols])
+        return out.getvalue().encode()
+    header = [f"c{i}" for i in range(path.dim)]
+    header += {"labeled": ["label"], "paired": ["target"]}.get(path.kind, [])
+    writer.writerow(header)
+    for i in range(len(path)):
+        row = [format(float(v), ".17g") for v in path.coords[i]]
+        if path.kind == "labeled":
+            row.append(str(int(path.labels[i])))
+        elif path.kind == "paired":
+            row.append(format(float(path.targets[i]), ".17g"))
+        writer.writerow(row)
+    return out.getvalue().encode()
+
+
+_EDGE_REALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308,
+               0.1, -1.0 / 3.0, 2.0 ** 60, 123456789.0]
+
+
+def _edge_paths():
+    rng = np.random.default_rng(5)
+    coords = rng.choice(_EDGE_REALS, size=(10, 3))
+    coords[:3, 0] = [-0.0, 5e-324, -1.7e308]
+    targets = rng.choice(_EDGE_REALS, size=10)
+    return {
+        "coords": SamplePath.from_coords(coords),
+        "labeled": SamplePath.from_labeled(coords, rng.choice([-1, 1], 10)),
+        "paired": SamplePath.from_paired(coords, targets),
+        "symbol": SamplePath.from_symbols([0, 3, 2 ** 62, 7, 7, 1, 0, 9, 12, 2 ** 53 + 1]),
+    }
+
+
+class TestPathCsvFormat:
+    """The CSV writer emits csv.writer's bytes, and the reader returns every
+    value bit for bit, over several write blocks."""
+
+    @pytest.mark.parametrize("kind", ["coords", "labeled", "paired", "symbol"])
+    def test_bytes_and_round_trip(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(pathio, "_WRITE_ROWS", 3)
+        path = _edge_paths()[kind]
+        f, g = tmp_path / "a.csv", tmp_path / "b.csv"
+        pathio.write_path_csv(path, f)
+        assert f.read_bytes() == _csv_writer_bytes(path)
+        back = pathio.read_path_csv(f)
+        assert back.kind == path.kind
+        for name in ("coords", "symbols", "labels", "targets"):
+            ours, theirs = getattr(back, name), getattr(path, name)
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        pathio.write_path_csv(back, g)
+        assert g.read_bytes() == f.read_bytes()
+
+    def test_reader_error_messages(self, tmp_path):
+        f = tmp_path / "p.csv"
+        cases = [
+            ("", f"{f}: empty path file"),
+            ("a,b\r\n1,2\r\n", f"{f}: unrecognized path CSV header ['a', 'b']"),
+            ("c0,label\r\n1,1\r\n2\r\n", f"{f}:3: expected 2 fields, got 1"),
+            ("c0,c1\r\n1,2\r\n\r\n1,2,3\r\n", f"{f}:3: expected 2 fields, got 3"),
+            ("symbol\r\n4\r\n5,6\r\n", f"{f}:3: expected 1 fields, got 2"),
+            # the field count is checked before any value is parsed
+            ("c0,c1\r\nx,2\r\n1\r\n", f"{f}:3: expected 2 fields, got 1"),
+        ]
+        for text, message in cases:
+            f.write_bytes(text.encode())
+            with pytest.raises(ValueError) as err:
+                pathio.read_path_csv(f)
+            assert str(err.value) == message
+        f.write_bytes(b"c0,c1\r\nx,2\r\n")
+        with pytest.raises(ValueError, match="'x'"):
+            pathio.read_path_csv(f)
+        f.write_bytes(b"c0\r\n")
+        with pytest.raises(ValueError, match="nonempty"):
+            pathio.read_path_csv(f)
 
 
 class TestRecurrenceTargets:

@@ -1,8 +1,11 @@
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugebounds import (
     GaugeSpec,
@@ -14,7 +17,70 @@ from gaugebounds import (
     validate_good_turing,
     validate_martingale_tail,
 )
-from gaugebounds.verify import binomial_pass
+from gaugebounds.verify import _binomial_tail, binomial_pass
+
+
+def exact_tail(v: int, n: int, p: float) -> Fraction:
+    """P[Binomial(n, p) >= v] summed term by term in exact rationals."""
+    a, b = Fraction(p).as_integer_ratio()
+    total, c_power = 0, 1
+    for i in range(n, max(v, 0) - 1, -1):
+        total += math.comb(n, i) * a ** i * c_power
+        c_power *= b - a
+    return Fraction(total, b ** n)
+
+
+_TARGETS = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.05, 0.5, 0.999]),
+                     st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 400), p=_TARGETS)
+def test_binomial_tail_is_the_correctly_rounded_exact_sum(data, n, p):
+    v = data.draw(st.integers(-1, n + 1), label="v")
+    assert _binomial_tail(v, n, p) == float(exact_tail(v, n, p))
+
+
+class TestBinomialTail:
+    def test_underflow_to_subnormal_and_zero(self):
+        tiny = 2.2250738585072014e-308
+        cases = [(2, 2, 1e-160), (1074, 1074, 0.5), (1075, 1075, 0.5), (2, 2, 1e-300),
+                 (3, 3, 1e-108), (1, 3, 1e-300), (60, 60, 2.0 ** -17)]
+        for v, n, p in cases:
+            assert _binomial_tail(v, n, p) == float(exact_tail(v, n, p))
+        assert 0.0 < _binomial_tail(2, 2, 1e-160) < tiny
+        assert _binomial_tail(1074, 1074, 0.5) == 5e-324
+        # 2^-1075 lies halfway between 0 and the smallest subnormal: ties to even
+        assert _binomial_tail(1075, 1075, 0.5) == 0.0
+        assert _binomial_tail(2, 2, 1e-300) == 0.0
+
+    def test_exact_ties_between_doubles(self):
+        # tails of Binomial(n, 1/2) whose exact value is the midpoint of two
+        # adjacent doubles: only the full exact sum rounds them correctly
+        ties = 0
+        for n in range(54, 64):
+            numerator = 0
+            for v in range(n, 0, -1):
+                numerator += math.comb(n, v)
+                odd = numerator >> ((numerator & -numerator).bit_length() - 1)
+                if odd.bit_length() == 54:
+                    ties += 1
+                    assert _binomial_tail(v, n, 0.5) == float(exact_tail(v, n, 0.5))
+        assert ties > 0
+
+    def test_report_digits(self):
+        # scipy's tail gave 7.860594399783733e-63 here
+        assert binomial_pass(200, 1000, 0.05) == (False, 7.860594399784185e-63)
+        assert binomial_pass(0, 1000, 0.05) == (True, 1.0)
+
+    @pytest.mark.parametrize("violations, trials, target, message", [
+        (1, 10, math.nan, "target"), (1, 10, math.inf, "target"), (1, 10, -0.1, "target"),
+        (1, 10, 1.5, "target"), (0, 0, 0.5, "trials"), (-1, 10, 0.5, "violations"),
+        (11, 10, 0.5, "violations"),
+    ])
+    def test_domain_errors(self, violations, trials, target, message):
+        with pytest.raises(ValueError, match=message):
+            binomial_pass(violations, trials, target)
 
 
 class TestBinomialPassRule:
