@@ -20,6 +20,7 @@ the writer rejects larger symbols.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import warnings
 from pathlib import Path as FsPath
@@ -143,18 +144,21 @@ def write_path_bin(path: SamplePath, file) -> None:
 
 def read_path_bin(file) -> SamplePath:
     file = FsPath(file)
-    blob = file.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{file}: truncated path file")
-    magic, n, dim = _HEADER.unpack_from(blob)
-    if magic[:2] != b"GB" or magic[3:] != b"1" or magic[2:3] not in _BYTE_VARIANT:
-        raise ValueError(f"{file}: bad magic {magic!r}")
-    kind = _BYTE_VARIANT[magic[2:3]]
-    width = dim + (1 if kind in ("labeled", "paired") else 0)
-    expected = _HEADER.size + 8 * n * width
-    if len(blob) != expected:
-        raise ValueError(f"{file}: payload size mismatch ({len(blob)} vs {expected} bytes)")
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, width)
+    with file.open("rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{file}: truncated path file")
+        magic, n, dim = _HEADER.unpack(head)
+        if magic[:2] != b"GB" or magic[3:] != b"1" or magic[2:3] not in _BYTE_VARIANT:
+            raise ValueError(f"{file}: bad magic {magic!r}")
+        kind = _BYTE_VARIANT[magic[2:3]]
+        width = dim + (1 if kind in ("labeled", "paired") else 0)
+        expected = _HEADER.size + 8 * n * width
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{file}: payload size mismatch ({size} vs {expected} bytes)")
+        # the payload goes straight into its array, with no bytes copy of the file
+        data = np.fromfile(fh, dtype="<f8", count=n * width).reshape(n, width)
     if kind == "symbol":
         return SamplePath.from_symbols(data[:, 0].astype(np.int64))
     if kind == "labeled":

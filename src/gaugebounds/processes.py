@@ -255,6 +255,8 @@ class EmbeddingSpec:
             tpl = TEMPLATE_16 if self.template is None else np.asarray(self.template, dtype=np.float64)
             if tpl.shape != (16, 16):
                 raise ValueError("raster template must be a 16x16 grid")
+            if not np.isfinite(tpl).all():
+                raise ValueError("raster template must be finite (no NaN/inf)")
             tpl = tpl.copy()
             tpl.setflags(write=False)
             object.__setattr__(self, "template", tpl)
@@ -280,30 +282,70 @@ class EmbeddingSpec:
         return 2 if self.with_scaling else 1
 
 
+# Rows per block of the raster kernel, chosen by measurement: at n = 4096 on
+# a 2-vCPU Xeon, 64 to 256 rows ran equally fast (about 13 ms), 16 rows 17 ms
+# and 8 rows 25 ms; 64 keeps each (rows, 256) temporary at 128 KB.
+_RASTER_ROWS = 64
+
+
 def _raster_render(template: np.ndarray, angles: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    size = 16
+    """Rotated, scaled and bilinearly sampled template images, one per row,
+    each centered and normalized to Euclidean norm 1/2; (n, 256) float64.
+
+    Rows are rendered in blocks of _RASTER_ROWS straight into the output, so
+    no other (n, 256) array exists.  Every coordinate is bit-identical to a
+    whole-array render that masks out-of-grid corners with
+    np.where(valid, template[clip], 0.0) and sums them into zeros, because:
+    - sx, sy, fx, fy, the four weight products, the corner order and the
+      accumulation from 0.0 are the same floating-point operations, and
+      cos, sin and 1/scale are still taken once over all n;
+    - a corner outside the 16x16 grid reads +0.0 from a 2-pixel zero border.
+      floor(sx) and floor(sy) are clipped to [-2, 16] only to index it: a
+      clipped floor lies on the same side of the grid as the true one, so
+      both of its corners stay in the border;
+    - the weights are finite and >= 0, since fx = sx - floor(sx) is exact
+      and lies in [0, 1), so weight * 0.0 is +0.0 in both forms;
+    - the per-row mean and sum of squares reduce each C-contiguous row on
+      its own, so they do not depend on how many rows a block holds.
+    """
+    size, pad = 16, 2
+    width = size + 2 * pad
     center = (size - 1) / 2.0
     grid = np.arange(size, dtype=np.float64) - center
     px = np.tile(grid, size)            # column offsets, row-major pixels
     py = np.repeat(grid, size)          # row offsets
-    cos = np.cos(angles)[:, None]
-    sin = np.sin(angles)[:, None]
-    inv_s = (1.0 / scales)[:, None]
-    # inverse map: rotate by -angle, undo the scale, then bilinear-sample
-    sx = (cos * px + sin * py) * inv_s + center
-    sy = (-sin * px + cos * py) * inv_s + center
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    out = np.zeros_like(sx)
-    for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
-                      (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
-        xi = (x0 + dx).astype(np.int64)
-        yi = (y0 + dy).astype(np.int64)
-        valid = (xi >= 0) & (xi < size) & (yi >= 0) & (yi < size)
-        vals = template[np.clip(yi, 0, size - 1), np.clip(xi, 0, size - 1)]
-        out += w * np.where(valid, vals, 0.0)
+    padded = np.zeros((width, width), dtype=np.float64)
+    padded[pad:pad + size, pad:pad + size] = template
+    padded = padded.ravel()
+    cos_all = np.cos(angles)
+    sin_all = np.sin(angles)
+    inv_all = 1.0 / scales
+    out = np.empty((angles.shape[0], size * size), dtype=np.float64)
+    for start in range(0, out.shape[0], _RASTER_ROWS):
+        rows = slice(start, start + _RASTER_ROWS)
+        cos = cos_all[rows, None]
+        sin = sin_all[rows, None]
+        inv_s = inv_all[rows, None]
+        # inverse map: rotate by -angle, undo the scale, then bilinear-sample
+        sx = (cos * px + sin * py) * inv_s + center
+        sy = (-sin * px + cos * py) * inv_s + center
+        x0 = np.floor(sx)
+        y0 = np.floor(sy)
+        fx = sx - x0
+        fy = sy - y0
+        corner = (np.clip(y0, -pad, size).astype(np.intp) + pad) * width
+        corner += np.clip(x0, -pad, size).astype(np.intp) + pad
+        gx = 1 - fx
+        gy = 1 - fy
+        block = out[rows]
+        block[...] = 0.0
+        for offset, w in ((0, gx * gy), (1, fx * gy), (width, gx * fy), (width + 1, fx * fy)):
+            block += w * padded[corner + offset]
+        block -= block.mean(axis=1, keepdims=True)
+        norms = np.sqrt((block * block).sum(axis=1))
+        if (norms < 1e-12).any():
+            raise ValueError("degenerate raster image with zero contrast")
+        block *= (0.5 / norms)[:, None]
     return out
 
 
@@ -333,13 +375,7 @@ def embed(emb: EmbeddingSpec, path: SamplePath) -> SamplePath:
         scales = 0.75 + np.cos(2.0 * math.pi * path.coords[:, 1]) / 4.0
     else:
         scales = np.ones(len(path), dtype=np.float64)
-    imgs = _raster_render(emb.template, angles, scales)
-    imgs = imgs - imgs.mean(axis=1, keepdims=True)
-    norms = np.sqrt((imgs * imgs).sum(axis=1))
-    if (norms < 1e-12).any():
-        raise ValueError("degenerate raster image with zero contrast")
-    imgs *= (0.5 / norms)[:, None]
-    return SamplePath.from_coords(imgs)
+    return SamplePath.from_coords(_raster_render(emb.template, angles, scales))
 
 
 def stationary_oracle(spec: ProcessSpec, emb: EmbeddingSpec | None = None):

@@ -64,6 +64,49 @@ class TrialReport:
             raise ValueError("violations cannot exceed trials")
 
 
+def _cut(m: int, s: int, bits: int, up: bool) -> tuple[int, int]:
+    """m 2^s cut to at most `bits` significant bits, rounded down (up if
+    `up`): returns (m', s') with m' 2^s' <= m 2^s (>= if up)."""
+    drop = m.bit_length() - bits
+    if drop <= 0:
+        return m, s
+    return (-(-m >> drop) if up else m >> drop), s + drop
+
+
+def _pow_bracket(x: int, k: int, bits: int, up: bool) -> tuple[int, int]:
+    """x^k by squaring, cut to `bits` bits after every product."""
+    m, s = 1, 0
+    for bit in bin(k)[2:]:
+        m, s = _cut(m * m, 2 * s, bits, up)
+        if bit == "1":
+            m, s = _cut(m * x, s, bits, up)
+    return m, s
+
+
+def _range_bracket(lo: int, hi: int, bits: int, up: bool) -> tuple[int, int]:
+    """prod(range(lo, hi)) by a product tree, cut to `bits` bits at every node."""
+    if hi - lo <= 64:
+        return _cut(math.prod(range(lo, hi)), 0, bits, up)
+    mid = (lo + hi) // 2
+    m1, s1 = _range_bracket(lo, mid, bits, up)
+    m2, s2 = _range_bracket(mid, hi, bits, up)
+    return _cut(m1 * m2, s1 + s2, bits, up)
+
+
+def _term_bracket(n: int, i: int, a: int, c: int, bits: int, up: bool) -> tuple[int, int]:
+    """C(n, i) a^i c^(n-i) rounded down (up if `up`) as m 2^s, every
+    intermediate cut to `bits` bits.  No cut happens once `bits` covers
+    every intermediate, and then m 2^s is the exact integer."""
+    k = min(i, n - i)
+    num, s_num = _range_bracket(n - k + 1, n + 1, bits, up)      # n! / (n-k)!
+    den, s_den = _range_bracket(1, k + 1, bits, not up)         # k!
+    widen = max(0, bits + den.bit_length() - num.bit_length())
+    comb = -(-(num << widen) // den) if up else (num << widen) // den
+    m_a, s_a = _pow_bracket(a, i, bits, up)
+    m_c, s_c = _pow_bracket(c, n - i, bits, up)
+    return comb * m_a * m_c, s_num - s_den - widen + s_a + s_c
+
+
 def _binomial_tail(v: int, n: int, p: float) -> float:
     """P[Binomial(n, p) >= v], rounded once from the exact rational value.
 
@@ -77,9 +120,14 @@ def _binomial_tail(v: int, n: int, p: float) -> float:
     first term has `guard` bits, bracket every term; the sum stops once
     both ends of the bracket on the result round to the same double
     (int / int true division rounds correctly, subnormals and 0.0
-    included).  Otherwise the guard bits double (Ziv's strategy).  Once
-    they cover the first term's numerator every step is exact, so exact
-    ties between two doubles terminate too.
+    included).  Otherwise the guard bits double (Ziv's strategy).
+
+    The first term's bracket comes from floor and ceiling fixed-point
+    products (_term_bracket) at a few more bits than `guard`, so its cost
+    grows about linearly with n and not with the n (e + 1) bits of the
+    exact integer T_i0 2^(e n).  Once the guard bits cover every
+    intermediate product, the bracket is that exact integer and every step
+    is exact, so exact ties between two doubles terminate too.
     """
     if v <= 0:
         return 1.0
@@ -92,12 +140,15 @@ def _binomial_tail(v: int, n: int, p: float) -> float:
     c = b - a
     upper = v > ((n + 1) * a) >> e
     i0 = v if upper else v - 1
-    exact = math.comb(n, i0) * a ** i0 * c ** (n - i0)   # T_i0 * 2^(e n)
     guard = 64 + 2 * n.bit_length()
     while True:
-        shift = exact.bit_length() - guard
-        lo = exact >> shift if shift > 0 else exact << -shift
-        hi = lo + (shift > 0 and exact & ((1 << shift) - 1) != 0)
+        # the cuts lose about 2 log2(n) bits of the working precision
+        bits = guard + 2 * n.bit_length() + 8
+        m_lo, x_lo = _term_bracket(n, i0, a, c, bits, False)
+        m_hi, x_hi = _term_bracket(n, i0, a, c, bits, True)
+        shift = m_lo.bit_length() + x_lo - guard          # T_i0 2^(e n) ~ lo 2^shift
+        lo = m_lo << (x_lo - shift) if x_lo >= shift else m_lo >> (shift - x_lo)
+        hi = m_hi << (x_hi - shift) if x_hi >= shift else -(-m_hi >> (shift - x_hi))
         one = 1 << (e * n - shift)
         s_lo = s_hi = 0
         i = i0

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,28 @@ class TestPathIO:
         g.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             pathio.read_path_csv(g)
+
+    def test_bin_reader_error_messages(self, tmp_path):
+        f = tmp_path / "p.bin"
+        pathio.write_path_bin(SamplePath.from_labeled([[1.0, 2.0], [3.0, 4.0]], [1, -1]), f)
+        blob = f.read_bytes()
+        cases = [
+            (b"", "truncated path file"),
+            (blob[:15], "truncated path file"),
+            (b"GBx1" + blob[4:], re.escape("bad magic b'GBx1'")),
+            (b"GBc2" + blob[4:], re.escape("bad magic b'GBc2'")),
+            (blob[:-8], re.escape("payload size mismatch (56 vs 64 bytes)")),
+            (blob + b"\0", re.escape("payload size mismatch (65 vs 64 bytes)")),
+            (blob[:16], re.escape("payload size mismatch (16 vs 64 bytes)")),
+        ]
+        for data, message in cases:
+            f.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {message}"):
+                pathio.read_path_bin(f)
+        f.write_bytes(blob)
+        back = pathio.read_path_bin(f)
+        assert back.coords.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert back.labels.tolist() == [1, -1]
 
 
 def _csv_writer_bytes(path) -> bytes:

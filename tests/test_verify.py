@@ -68,6 +68,20 @@ class TestBinomialTail:
                     assert _binomial_tail(v, n, 0.5) == float(exact_tail(v, n, 0.5))
         assert ties > 0
 
+    @pytest.mark.parametrize("v, n, p", [(551, 10_000, 0.05), (449, 10_000, 0.05),
+                                         (10_160, 20_000, 0.5)])
+    def test_large_n_matches_exact_recurrence(self, v, n, p):
+        # 1 - P[X < v], from exact integer terms C(n, i) a^i c^(n-i) for
+        # i = v - 1 down to 0, each from the one after it by an exact division
+        a, b = p.as_integer_ratio()
+        c = b - a
+        term = math.comb(n, v - 1) * a ** (v - 1) * c ** (n - v + 1)
+        below = 0
+        for i in range(v - 1, -1, -1):
+            below += term
+            term = term * i * c // ((n - i + 1) * a)
+        assert _binomial_tail(v, n, p) == float(Fraction(b ** n - below, b ** n))
+
     def test_report_digits(self):
         # scipy's tail gave 7.860594399783733e-63 here
         assert binomial_pass(200, 1000, 0.05) == (False, 7.860594399784185e-63)
