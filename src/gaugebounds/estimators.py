@@ -151,6 +151,26 @@ def _keep_indices(n_eff: int, exceptions: ExceptionSet | None) -> np.ndarray:
     return np.flatnonzero(keep).astype(np.intp)
 
 
+def _admissible_prefix(
+    path: SamplePath, gauge: GaugeSpec, tau: int, exceptions: ExceptionSet | None
+) -> np.ndarray:
+    """Checks a prefix-minimum request and returns the admissible candidate
+    positions (ascending); every backend validates through here."""
+    n = len(path)
+    if tau < 1:
+        raise ValueError("tau must be a positive integer")
+    if tau >= n:
+        raise ValueError(f"tau={tau} must be smaller than the path length {n}")
+    check_gauge_path(gauge, path)
+    keep = _keep_indices(n - tau, exceptions)
+    if keep.size == 0 or keep[0] != 0:
+        raise EmptyPrefixError(
+            f"no admissible prefix index for path position {tau} "
+            "(position 0 is excluded); the estimator is undefined there"
+        )
+    return keep
+
+
 def naive_prefix_mins(
     path: SamplePath,
     gauge: GaugeSpec,
@@ -163,19 +183,8 @@ def naive_prefix_mins(
     count_sink, when given, receives the number of gauge evaluations
     appended as a single integer.
     """
-    n = len(path)
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    if tau >= n:
-        raise ValueError(f"tau={tau} must be smaller than the path length {n}")
-    check_gauge_path(gauge, path)
-    n_eff = n - tau
-    keep = _keep_indices(n_eff, exceptions)
-    if keep.size == 0 or keep[0] != 0:
-        raise EmptyPrefixError(
-            f"no admissible prefix index for path position {tau} "
-            "(position 0 is excluded); the estimator is undefined there"
-        )
+    keep = _admissible_prefix(path, gauge, tau, exceptions)
+    n_eff = len(path) - tau
     # number of admissible candidates for entry j is the count of keep <= j
     upto = np.searchsorted(keep, np.arange(n_eff), side="right")
     mins = np.empty(n_eff, dtype=np.float64)

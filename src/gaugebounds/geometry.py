@@ -427,7 +427,8 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # lower bound exceeds a kernel value already attained in its row cannot be
 # the row minimum, and every other pair is re-evaluated through _euclid_row.
 # The minimum is therefore the kernel's own value, bit for bit, whatever
-# summation order or thread count the BLAS uses.
+# summation order or thread count the BLAS uses.  A cluster layer in front
+# (step (6)) skips whole groups of candidates by the same kind of bound.
 #
 # Derivation.  u = 2^-53, eta = 2^-1074 (an underflowing product or scaling
 # errs by at most eta/2; additions never do), gamma_k = k u / (1 - k u)
@@ -459,7 +460,9 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 #      give P^2 <= 2 (sqrt(n_q) + sqrt(n_x))^2 / (1 - gamma_D) + 16 D eta.
 #      With r = fl(sqrt(fl(kappa n))), R = fl(r_q + r_x) and
 #      kappa = 4 gamma_{D+4}, fl(R R) >= gamma_{D+4} P^2 - D 2^-501: the
-#      factor 2 left over covers the roundings of kappa, r, R and R R.
+#      factor 2 left over covers the roundings of kappa, r, R and R R.  A
+#      tile may put its largest r_x in R for every x: rounding is monotone,
+#      so that only raises fl(R R) and lowers L.
 #      As gamma_{D+2} + 2u / (1-u) <= gamma_{D+4}, (2) and (3) give
 #          ||t||^2 >= L / (1+u) - D 2^-500,  L = fl(S_hat - fl(R R)),
 #      for L >= 0; D 2^-500 bounds every eta term, those of the
@@ -471,6 +474,24 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 #      kernel's own underflow in the scaled units: for coordinates near
 #      1e-160 it is large and few pairs are pruned; for subnormal-only data
 #      it overflows and none are.
+#  (6) Cluster rule.  Each candidate belongs to one centre c (a path row),
+#      and r = max K(x, c) over the cluster's members x is exact.  By (1),
+#      2^s ||x - c|| <= 2^s r (1 + gamma_{D+5}) + sqrt(D) 2^(s-537).  For a
+#      query q, (4) with sqrt(a - b) >= sqrt(a) - sqrt(b) and
+#      1/sqrt(1+u) >= 1 - u/2 gives, for the pair (q, c) and any sign of L,
+#          2^s ||q - c|| >= fl(sqrt(max(L, 0))) (1 - 2u) - sqrt(D) 2^-250.
+#      By the triangle inequality ||q - x|| >= ||q - c|| - ||x - c||, and by
+#      (1) a pair with 2^s ||q - x|| > U (1 + gamma_{D+5}) + sqrt(D) 2^(s-537)
+#      has K > UB.  So every member is pruned when
+#          fl(sqrt(max(L, 0))) > fl(fl(fl(r 2^s + U) F) + A),
+#          F = 1 + gamma_{D+16},  A = sqrt(D) (2^(s-535) + 2^-249).
+#      F covers gamma_{D+5}, the (1 - 2u) and the roundings of the sum, the
+#      product and F itself; A doubles sqrt(D) (2^(s-536) + 2^-250), which
+#      covers the underflow of r 2^s and U (eta/2 each) and the roundings of
+#      A and the last sum.  The rule is valid for any centres; the uncertified
+#      Gram values only choose them.  An overflowing r 2^s or U makes the
+#      right side +inf, and for data whose kernel underflows (s near 1074)
+#      A exceeds every left side, so neither prunes anything.
 #
 # Ranges.  Coordinates are finite and c lies between each coordinate's
 # extremes, so |x - c| <= (hi - lo) / 2 cannot overflow; after scaling,
@@ -484,11 +505,44 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 _U = 2.0 ** -53
 _MAX_COLS = 4096         # candidate rows per tile
-_EXACT_BATCH = 1 << 18   # coordinates gathered per exact re-evaluation batch
+_EXACT_BATCH = 1 << 15   # coordinates gathered per exact re-evaluation batch
 
 
 def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
+
+
+def _n_clusters(n: int) -> int:
+    """Farthest-point centres for n rows: about sqrt(n)."""
+    return max(1, math.isqrt(n))
+
+
+def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int):
+    """Up to k centres by farthest-point traversal from row 0.
+
+    Returns the centres, each row's nearest centre (ties to the earlier
+    one) and, one row per centre, S_hat = fl(n_x + n_c - 2 G) of step (3)
+    for every row x.  Uncorrected, these values only choose the centres;
+    step (6) subtracts the error term before it bounds anything with them.
+    """
+    gram = np.empty((k, z.shape[0]))
+    nearest = np.zeros(z.shape[0], dtype=np.intp)
+    centres = [0]
+    for j in range(k):
+        c, row = centres[j], gram[j]
+        np.matmul(z, -2.0 * z[c], out=row)
+        row += norms
+        row += norms[c]
+        if j == 0:
+            far = row.copy()
+        else:
+            nearest[row < far] = j
+            np.minimum(far, row, out=far)
+        c = int(far.argmax())          # the lowest index among ties
+        if j + 1 == k or not far[c] > 0.0:
+            break                      # enough centres, or every row sits on one
+        centres.append(c)
+    return np.asarray(centres, dtype=np.intp), nearest, gram[: len(centres)]
 
 
 def _euclid_min_screened(
@@ -504,81 +558,191 @@ def _euclid_min_screened(
     Query r's candidates are the rows i < limits[r] with keep[i] (when
     given), labels[i] == labels[queries[r]] (when given) and, with
     skip_self, i != queries[r].  Returns the minima (+inf where no candidate
-    is admissible), the number of screened pairs and the number of exact
-    kernel evaluations.  Pure; the buffers live for one call.
+    is admissible), the number of pairs valued through the Gram form (n per
+    centre in the traversal, then every screened tile) and the number of
+    exact kernel evaluations (one radius per candidate, then the
+    survivors).  Pure; the buffers live for one call.
+
+    Candidates are clustered around about sqrt(n) farthest-point centres
+    and stored in one scaled array ordered by (cluster, position), so the
+    members a query admits are a prefix of each cluster's slice.  Pass 1
+    screens every query against its own cluster, which gives a tight upper
+    bound; pass 2 visits each other cluster once, with the queries step (6)
+    cannot prune for it, and evaluates only after all of them, at each
+    row's best screened pair and at the pairs the final bound cannot prune.
+    With one centre this is the plain screen.
     """
-    dim = coords.shape[1]
+    n, dim = coords.shape
     m = queries.size
     mins = np.full(m, np.inf)
-    screened = exact = 0
+    big = np.finfo(np.float64).max
 
-    # step (2): centre on the midrange, scale by a power of two to max|z| < 1
+    # step (2): centre on the midrange, scale by a power of two to max|z| < 1;
+    # fl(x - mid) is monotone in x, so each column's extremes give max|z|
     lo, hi = coords.min(axis=0), coords.max(axis=0)
-    z = coords - (0.5 * lo + 0.5 * hi)
-    amax = float(np.abs(z).max())
+    mid = 0.5 * lo + 0.5 * hi
+    amax = max(float((hi - mid).max()), float((mid - lo).max()))
     s = -int(np.frexp(amax)[1]) if amax > 0.0 else 0
-    z = np.ldexp(z, s)
+    z = coords - mid
+    np.ldexp(z, s, out=z)
     norms = np.einsum("ij,ij->i", z, z)
+    centres, nearest, lam = _farthest_point_centres(z, norms, _n_clusters(n))
+    del z
+    k = centres.size
+    screened = n * k
+    exact = 0
+
+    # step (6)'s left side for every (centre, row) pair, from the traversal
     rho = np.sqrt(4.0 * _gamma(dim + 4) * norms)
+    step = max(1, _TILE // n)
+    for j0 in range(0, k, step):
+        tmp = rho[centres[j0: j0 + step], None] + rho[None, :]
+        tmp *= tmp
+        lam[j0: j0 + step] -= tmp
+    np.maximum(lam, 0.0, out=lam)
+    np.sqrt(lam, out=lam)
+
+    # rows ordered by (cluster, position); non-candidates go last
+    top = int(limits.max())
+    member = np.zeros(n, dtype=bool)
+    member[:top] = True if keep is None else keep[:top]
+    key = np.where(member, nearest, k)
+    perm = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[perm], np.arange(k + 1))
+    z = coords[perm]
+    z -= mid
+    np.ldexp(z, s, out=z)
+    norms, rho = norms[perm], rho[perm]
+    pos = np.empty(n, dtype=np.intp)
+    pos[perm] = np.arange(n)
+    qpos = pos[queries]
+    lab = None if labels is None else labels[perm]
     t_factor = 1.0 + _gamma(2 * dim + 16)
     with np.errstate(over="ignore"):
         t_abs = float(np.ldexp(2.0 * dim, 2 * s - 1074)) + math.ldexp(dim, -499)
-    big = np.finfo(np.float64).max
-
-    cols = min(_MAX_COLS, int(limits.max()))
-    rows = max(1, _TILE // cols)
-    buf = np.empty(rows * cols)
-    rbuf = np.empty(rows * cols)
     batch = max(1, _EXACT_BATCH // dim)
+    buf = np.empty(max(_TILE >> 4, _MAX_COLS))
 
-    for b0 in range(0, m, rows):
-        b1 = min(m, b0 + rows)
-        bq = b1 - b0
-        qb, lim, ub = queries[b0:b1], limits[b0:b1], mins[b0:b1]
-        ar = np.arange(bq)
-        zq = -2.0 * z[qb]
-        top = int(lim.max())
-        for c0 in range(0, top, cols):
-            c1 = min(top, c0 + cols)
-            w = c1 - c0
-            # step (4): L = (n_q + n_x - 2 G) - (r_q + r_x)^2
-            lt = buf[: bq * w].reshape(bq, w)
-            np.matmul(zq, z[c0:c1].T, out=lt)
-            lt += norms[qb, None]
-            lt += norms[None, c0:c1]
-            rt = rbuf[: bq * w].reshape(bq, w)
-            np.add(rho[qb, None], rho[None, c0:c1], out=rt)
-            rt *= rt
-            lt -= rt
-            screened += bq * w
-            # inadmissible pairs get +inf, which the clamped T always prunes
-            if c1 > lim.min():
-                lt[np.arange(c0, c1)[None, :] >= lim[:, None]] = np.inf
-            if keep is not None:
-                lt[:, ~keep[c0:c1]] = np.inf
-            if labels is not None:
-                lt[labels[qb, None] != labels[None, c0:c1]] = np.inf
-            if skip_self:
-                own = (qb >= c0) & (qb < c1)
-                lt[ar[own], qb[own] - c0] = np.inf
+    def threshold(ub):
+        # step (5): the largest L a pair may have and still reach below ub
+        uu = np.ldexp(ub, s)
+        thr = np.minimum(uu * uu * t_factor + t_abs, big)
+        thr[ub == 0.0] = -np.inf
+        return thr
 
-            # upper bound: the exact kernel at the screen's best pair
-            best = lt.argmin(axis=1)
-            hit = lt[ar, best] < np.inf
-            rq, cq = ar[hit], best[hit]
-            ub[rq] = np.minimum(ub[rq], _euclid_row(coords[c0 + cq], coords[qb[rq]]))
-            exact += rq.size
-            lt[rq, cq] = np.inf
+    def evaluate(rq, cand):
+        # the exact kernel for query numbers rq against path rows cand
+        nonlocal exact
+        exact += rq.size
+        for e0 in range(0, rq.size, batch):
+            r_k = rq[e0: e0 + batch]
+            np.minimum.at(mins, r_k, _euclid_row(coords[cand[e0: e0 + batch]],
+                                                 coords[queries[r_k]]))
 
-            # step (5): evaluate exactly every pair the rule cannot prune
-            uu = np.ldexp(ub, s)
-            thr = np.minimum(uu * uu * t_factor + t_abs, big)
-            thr[ub == 0.0] = -np.inf
-            sr, sc = np.nonzero(lt <= thr[:, None])
-            for k0 in range(0, sr.size, batch):
-                r_k, c_k = sr[k0: k0 + batch], sc[k0: k0 + batch]
-                np.minimum.at(ub, r_k, _euclid_row(coords[c0 + c_k], coords[qb[r_k]]))
-            exact += sr.size
+    found = []        # pass 2: pairs its fixed thresholds cannot prune
+
+    def screen(b, rows, fixed=None):
+        # query numbers rows against the members of cluster b each admits, a
+        # prefix of the cluster's slice; with fixed thresholds, keep the
+        # survivors in found for later
+        nonlocal screened
+        c0 = int(bounds[b])
+        cnt = np.searchsorted(perm[c0: bounds[b + 1]], limits[rows])
+        rows, cnt = rows[cnt > 0], cnt[cnt > 0]
+        if rows.size == 0:
+            return
+        cols = min(_MAX_COLS, int(cnt.max()))
+        per = max(1, (_TILE >> 4) // cols)
+        for b0 in range(0, rows.size, per):
+            br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
+            bq = br.size
+            qp = qpos[br]
+            zq2 = z[qp]
+            zq2 *= -2.0
+            ar = np.arange(bq)
+            end = c0 + int(bc.max())
+            for k0 in range(c0, end, cols):
+                k1 = min(end, k0 + cols)
+                w = k1 - k0
+                # step (4): L = (n_q + n_x - 2 G) - (r_q + r_x)^2, with the
+                # tile's largest r_x for every x
+                lt = buf[: bq * w].reshape(bq, w)
+                np.matmul(zq2, z[k0:k1].T, out=lt)
+                lt += norms[qp, None]
+                lt += norms[None, k0:k1]
+                rr = rho[qp] + rho[k0:k1].max()
+                rr *= rr
+                lt -= rr[:, None]
+                screened += bq * w
+                # inadmissible pairs get +inf, which the clamped T always prunes
+                if k1 - c0 > bc.min():
+                    lt[np.arange(k0 - c0, k1 - c0)[None, :] >= bc[:, None]] = np.inf
+                if lab is not None:
+                    lt[lab[qp, None] != lab[None, k0:k1]] = np.inf
+                if skip_self:
+                    mine = (qp >= k0) & (qp < k1)
+                    lt[ar[mine], qp[mine] - k0] = np.inf
+                best = lt.argmin(axis=1)
+                low = lt[ar, best]
+                if fixed is not None:
+                    # keep every pair the bounds of pass 1 cannot prune, for
+                    # evaluation after the pass; rows whose best pair is
+                    # pruned hold none
+                    near = ar[low <= fixed[br]]
+                    if near.size:
+                        sr, sc = np.nonzero(lt[near] <= fixed[br[near], None])
+                        sr = near[sr]
+                        found.append((br[sr], perm[k0 + sc], lt[sr, sc]))
+                    continue
+                # upper bound: the exact kernel at the row's best pair, where
+                # that pair survives the bound attained so far
+                hit = ar[low <= threshold(mins[br])]
+                evaluate(br[hit], perm[k0 + best[hit]])
+                lt[hit, best[hit]] = np.inf
+                # step (5): evaluate exactly every pair the rule cannot prune
+                sr, sc = np.nonzero(lt <= threshold(mins[br])[:, None])
+                evaluate(br[sr], perm[k0 + sc])
+
+    # pass 1: every query against the admitted members of its own cluster
+    own = nearest[queries]
+    order = np.argsort(own, kind="stable")
+    qbounds = np.searchsorted(own[order], np.arange(k + 1))
+    filled = np.flatnonzero(bounds[:-1] < bounds[1:])
+    for b in filled:
+        screen(b, order[qbounds[b]: qbounds[b + 1]])
+    if k == 1:
+        return mins, screened, exact
+
+    # cluster radii: the exact kernel of every member against its centre
+    n_cand = int(bounds[k])
+    rad = np.empty(n_cand)
+    for b0 in range(0, n_cand, batch):
+        rows = perm[b0: min(n_cand, b0 + batch)]
+        rad[b0: b0 + batch] = _euclid_row(coords[rows], coords[centres[key[rows]]])
+    exact += n_cand
+    radius = np.zeros(k)
+    radius[filled] = np.maximum.reduceat(rad, bounds[filled])
+
+    # pass 2: each other cluster with the queries step (6) cannot prune for
+    # it under the bounds of pass 1
+    f_factor = 1.0 + _gamma(dim + 16)
+    a_abs = math.ldexp(math.sqrt(dim), s - 535) + math.ldexp(math.sqrt(dim), -249)
+    with np.errstate(over="ignore"):
+        reach_q, reach_c = np.ldexp(mins, s), np.ldexp(radius, s)
+    fixed = threshold(mins)
+    for b in filled:
+        live = lam[b, queries] <= (reach_q + reach_c[b]) * f_factor + a_abs
+        live[own == b] = False
+        screen(b, np.flatnonzero(live), fixed)
+    if found:
+        # each row's best kept pair first, then what its bound leaves
+        rq, cand, low = (np.concatenate(part) for part in zip(*found))
+        order = np.lexsort((low, rq))
+        first = order[np.r_[True, rq[order[1:]] != rq[order[:-1]]]]
+        evaluate(rq[first], cand[first])
+        left = low <= threshold(mins)[rq]
+        left[first] = False
+        evaluate(rq[left], cand[left])
     return mins, screened, exact
 
 

@@ -10,60 +10,53 @@ consumed, so distance ties need no tie-breaking rule.
 
 Structures:
 
-  * Euclidean base metric, D >= SCREEN_MIN_DIM: the certified Gram screen
-    of geometry._euclid_min_screened.  One BLAS product per tile bounds
-    every pair's kernel value from below, with a proven floating-point
-    error (the derivation is beside the function); the kernel is evaluated
-    exactly at each row's screen minimum and at every pair whose bound does
-    not exceed it.  Hinge labels and exception sets mask pairs; the
-    leave-one-out minimum is the full block minus its diagonal.
-  * Euclidean base metric, D < SCREEN_MIN_DIM: an incremental vantage-point
-    tree.  Points are inserted by descending the current tree (expanding
-    the per-child distance intervals on the way down); the whole tree is
-    rebuilt whenever its size doubles, which keeps inserts amortized
-    logarithmic without incremental rebalancing.  Queries prune a child
-    when its triangle lower bound exceeds the current best by more than a
-    small safety slack; the slack only ever costs extra visits, never
-    correctness.  The screen is faster at every D >= 2 as well (prefix
-    minima of 4096 iid uniform points in R^8: 0.03 s against 1.7 s on a
-    2-vCPU Xeon VM, OpenBLAS on both cores), but the acceptance suite
-    bounds the evaluation count on low-dimensional data below half the
-    naive count, which only a pruning structure meets.
-  * Discrete base metric: a hash set of seen keys (distance is 0 or 1).
-  * Label-gated gauges: one sub-structure per label (tree), or a label mask
-    (screen).
+  * Euclidean base metric, any dimension: the cluster-pruned certified Gram
+    screen of geometry._euclid_min_screened.  About sqrt(n) farthest-point
+    centres split the candidates into clusters.  A certified triangle bound
+    (each cluster's exact radius and the screen's Gram bound from the query
+    to its centre) skips every cluster that cannot hold a row's minimum;
+    each surviving block of (query, cluster) pairs takes one BLAS product.
+    Inside it, a proven floating-point bound prunes pairs, and the kernel is
+    evaluated exactly at each row's best surviving pair and at every pair
+    whose bound does not exceed the row's attained minimum (the derivations
+    are beside the function).  Hinge labels mask pairs, exception sets
+    leave candidates out of the clusters, and the leave-one-out minimum
+    screens every row against all rows but itself.  Paths of two or three
+    points get one cluster, which is the plain screen.
+  * Discrete base metric: a hash set of seen keys (distance is 0 or 1) for
+    prefix minima, and key multiplicities for leave-one-out minima.
 
 The regression gauge is a product metric; indexing it would need a third
 structure for little gain at this scale, so it runs on the naive backend
 only (extension point).
 
 Every backend instance exposes the telemetry of its last run:
-distance_evaluations counts every pair evaluation of any form (screened
-pairs plus exact kernel evaluations, or tree and hash visits), so it never
-undercounts, and screened_pairs counts the screened share alone.  The naive
-count is exactly the sum over queries of the admissible-candidate counts.
-A backend instance is single-owner while a computation runs; results are
-plain immutable values.
+distance_evaluations counts every pair evaluation of any form, so it never
+undercounts: pairs valued through the Gram form (centre traversal, query to
+centre bounds and tiles), exact kernel evaluations (cluster radii and
+survivors), or hash visits.  screened_pairs counts the Gram-form share
+alone.  The naive count is exactly the sum over queries of the
+admissible-candidate counts.  A backend instance is single-owner while a
+computation runs; results are plain immutable values.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import (
-    EmptyPrefixError,
     ExceptionSet,
     PrefixGaugeProfile,
-    _keep_indices,
+    _admissible_prefix,
     naive_prefix_mins,
 )
 from .geometry import (
     GaugeSpec,
     SamplePath,
     _euclid_min_screened,
-    _euclid_row,
     base_metric_kind,
     check_gauge_path,
     distance_transform,
@@ -77,222 +70,15 @@ __all__ = [
 ]
 
 
-SCREEN_MIN_DIM = 16  # Euclidean dimension from which the metric index screens
-
-
 class BackendMismatchError(ValueError):
     """The requested backend cannot serve the given gauge."""
 
 
-class _Counter:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-
-class _Node:
-    __slots__ = ("vantage", "mu", "lo_in", "hi_in", "lo_out", "hi_out",
-                 "inside", "outside", "bucket")
-
-    def __init__(self):
-        self.bucket = None
-        self.inside = None
-        self.outside = None
-
-
-_SLACK = 1e-12  # pruning safety margin, relative to the node's distance scale
-
-
-class _VPTree:
-    """Incremental vantage-point tree over float64 rows."""
-
-    def __init__(self, dim: int, counter: _Counter, leaf_size: int = 16):
-        self._dim = dim
-        self._counter = counter
-        self._leaf_size = max(2, leaf_size)
-        self._rows = np.empty((32, dim), dtype=np.float64)
-        self._size = 0
-        self._root: _Node | None = None
-        self._last_rebuild = 1
-
-    def _dist_block(self, idxs, q: np.ndarray) -> np.ndarray:
-        block = self._rows[np.asarray(idxs, dtype=np.intp)]
-        self._counter.value += block.shape[0]
-        return _euclid_row(block, q)
-
-    def _build(self, idxs: list[int]) -> _Node:
-        node = _Node()
-        if len(idxs) <= self._leaf_size:
-            node.bucket = list(idxs)
-            return node
-        vantage = idxs[0]
-        rest = np.asarray(idxs[1:], dtype=np.intp)
-        d = self._dist_block(rest, self._rows[vantage])
-        mu = float(np.partition(d, (d.size - 1) // 2)[(d.size - 1) // 2])
-        mask = d <= mu
-        if mask.all() or not mask.any():
-            # degenerate split (ties/duplicates): keep everything in one bucket
-            node.bucket = list(idxs)
-            return node
-        node.vantage = vantage
-        node.mu = mu
-        d_in, d_out = d[mask], d[~mask]
-        node.lo_in, node.hi_in = float(d_in.min()), float(d_in.max())
-        node.lo_out, node.hi_out = float(d_out.min()), float(d_out.max())
-        node.inside = self._build(rest[mask].tolist())
-        node.outside = self._build(rest[~mask].tolist())
-        return node
-
-    def _rebuild(self):
-        self._root = self._build(list(range(self._size)))
-        self._last_rebuild = self._size
-
-    def insert(self, row: np.ndarray) -> None:
-        if self._size == self._rows.shape[0]:
-            grown = np.empty((2 * self._size, self._dim), dtype=np.float64)
-            grown[: self._size] = self._rows
-            self._rows = grown
-        idx = self._size
-        self._rows[idx] = row
-        self._size += 1
-        if self._root is None:
-            node = _Node()
-            node.bucket = [idx]
-            self._root = node
-            self._last_rebuild = 1
-            return
-        if self._size >= 2 * self._last_rebuild:
-            self._rebuild()
-            return
-        node = self._root
-        while node.bucket is None:
-            dv = self._dist_block([node.vantage], row)[0]
-            if dv <= node.mu:
-                if node.inside is None:
-                    leaf = _Node()
-                    leaf.bucket = [idx]
-                    node.inside = leaf
-                    node.lo_in = node.hi_in = float(dv)
-                    return
-                node.lo_in = min(node.lo_in, dv)
-                node.hi_in = max(node.hi_in, dv)
-                node = node.inside
-            else:
-                if node.outside is None:
-                    leaf = _Node()
-                    leaf.bucket = [idx]
-                    node.outside = leaf
-                    node.lo_out = node.hi_out = float(dv)
-                    return
-                node.lo_out = min(node.lo_out, dv)
-                node.hi_out = max(node.hi_out, dv)
-                node = node.outside
-        node.bucket.append(idx)
-
-    def query_min(self, q: np.ndarray):
-        """Smallest distance from q to any inserted row (inf when empty)."""
-        if self._size == 0:
-            return np.float64(np.inf)
-        best = np.float64(np.inf)
-        stack = [(self._root, 0.0, 0.0)]
-        while stack:
-            node, lb, slack = stack.pop()
-            if lb > best + slack:
-                continue
-            if node.bucket is not None:
-                if node.bucket:
-                    d = self._dist_block(node.bucket, q)
-                    m = d.min()
-                    if m < best:
-                        best = m
-                continue
-            dv = self._dist_block([node.vantage], q)[0]
-            if dv < best:
-                best = dv
-            near_inside = dv <= node.mu
-            children = (
-                (node.outside, node.lo_out, node.hi_out),
-                (node.inside, node.lo_in, node.hi_in),
-            )
-            if not near_inside:
-                children = children[::-1]
-            # push the near child last so it is explored first
-            for child, lo, hi in children:
-                if child is None:
-                    continue
-                lb_c = max(0.0, lo - dv, dv - hi)
-                slack_c = _SLACK * (1.0 + dv + hi)
-                if lb_c <= best + slack_c:
-                    stack.append((child, lb_c, slack_c))
-        return best
-
-
-class _EqualityIndex:
-    """Seen-key set for the discrete base metric: distances are 0 or 1."""
-
-    def __init__(self, counter: _Counter):
-        self._counter = counter
-        self._seen = set()
-
-    def insert(self, key) -> None:
-        self._seen.add(key)
-
-    def query_min(self, key):
-        self._counter.value += 1
-        if not self._seen:
-            return np.float64(np.inf)
-        return np.float64(0.0) if key in self._seen else np.float64(1.0)
-
-
-def _coord_key(row: np.ndarray) -> bytes:
+def _discrete_keys(path: SamplePath) -> list:
+    if path.kind == "symbol":
+        return path.symbols.tolist()
     # +0.0 folds -0.0 onto +0.0 so byte keys agree with value equality
-    return (row + 0.0).tobytes()
-
-
-class _MetricStructure:
-    """Dispatches inserts/queries to the right substructure per gauge."""
-
-    def __init__(self, gauge: GaugeSpec, path: SamplePath, counter: _Counter, leaf_size: int):
-        self.gauge = gauge
-        self.path = path
-        self.counter = counter
-        self.leaf_size = leaf_size
-        self.discrete = base_metric_kind(gauge) == "discrete"
-        if self.discrete:
-            self._eq = _EqualityIndex(counter)
-        elif gauge.kind == "hinge":
-            self._by_label: dict[int, _VPTree] = {}
-        else:
-            self._tree = _VPTree(path.dim, counter, leaf_size)
-
-    def _key(self, i: int):
-        if self.path.kind == "symbol":
-            return int(self.path.symbols[i])
-        return _coord_key(self.path.coords[i])
-
-    def insert(self, i: int) -> None:
-        if self.discrete:
-            self._eq.insert(self._key(i))
-        elif self.gauge.kind == "hinge":
-            label = int(self.path.labels[i])
-            tree = self._by_label.get(label)
-            if tree is None:
-                tree = _VPTree(self.path.dim, self.counter, self.leaf_size)
-                self._by_label[label] = tree
-            tree.insert(self.path.coords[i])
-        else:
-            self._tree.insert(self.path.coords[i])
-
-    def query_min_distance(self, i: int):
-        if self.discrete:
-            return self._eq.query_min(self._key(i))
-        if self.gauge.kind == "hinge":
-            tree = self._by_label.get(int(self.path.labels[i]))
-            if tree is None:
-                return np.float64(np.inf)
-            return tree.query_min(self.path.coords[i])
-        return self._tree.query_min(self.path.coords[i])
+    return [row.tobytes() for row in path.coords + 0.0]
 
 
 @dataclass
@@ -302,7 +88,6 @@ class PrefixNNBackend:
     thread-shareable while a computation is in flight."""
 
     kind: str
-    leaf_size: int = 16
     distance_evaluations: int = 0
     screened_pairs: int = 0
 
@@ -311,8 +96,8 @@ class PrefixNNBackend:
         return cls(kind="naive")
 
     @classmethod
-    def metric_indexed(cls, leaf_size: int = 16) -> "PrefixNNBackend":
-        return cls(kind="metric-indexed", leaf_size=leaf_size)
+    def metric_indexed(cls) -> "PrefixNNBackend":
+        return cls(kind="metric-indexed")
 
     def __post_init__(self):
         if self.kind not in ("naive", "metric-indexed"):
@@ -325,10 +110,6 @@ def _check_indexable(gauge: GaugeSpec) -> None:
             "the regression gauge runs on the naive backend only; its product "
             "metric is not served by the metric index"
         )
-
-
-def _uses_screen(gauge: GaugeSpec, path: SamplePath) -> bool:
-    return base_metric_kind(gauge) == "euclidean" and path.dim >= SCREEN_MIN_DIM
 
 
 def _screened_mins(
@@ -356,12 +137,7 @@ def prefix_min_indexed(
     exceptions: ExceptionSet | None = None,
     backend: PrefixNNBackend | None = None,
 ) -> PrefixGaugeProfile:
-    """Prefix minima through the chosen backend; identical output either way.
-
-    Candidates enter the index the moment they become eligible (lag at least
-    tau behind the query, not excluded), so the structure is built
-    incrementally alongside the scan.
-    """
+    """Prefix minima through the chosen backend; identical output either way."""
     if backend is None:
         backend = PrefixNNBackend.naive()
     backend.distance_evaluations = 0
@@ -374,38 +150,29 @@ def prefix_min_indexed(
         return PrefixGaugeProfile(n=len(path), tau=tau, exceptions=exc, mins=mins)
 
     _check_indexable(gauge)
+    keep = _admissible_prefix(path, gauge, tau, exceptions)
     n = len(path)
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    if tau >= n:
-        raise ValueError(f"tau={tau} must be smaller than the path length {n}")
-    check_gauge_path(gauge, path)
     n_eff = n - tau
-    keep = _keep_indices(n_eff, exceptions)
-    if keep.size == 0 or keep[0] != 0:
-        raise EmptyPrefixError(
-            f"no admissible prefix index for path position {tau} "
-            "(position 0 is excluded); the estimator is undefined there"
-        )
-    if _uses_screen(gauge, path):
-        keep_mask = None
-        if keep.size < n_eff:
-            keep_mask = np.zeros(n_eff, dtype=bool)
-            keep_mask[keep] = True
-        mins = _screened_mins(gauge, path, backend, tau + np.arange(n_eff),
-                              np.arange(1, n_eff + 1), keep=keep_mask)
+    if base_metric_kind(gauge) == "discrete":
+        # candidates enter a seen-key set the moment they become admissible
+        keys = _discrete_keys(path)
+        admissible = np.zeros(n_eff, dtype=bool)
+        admissible[keep] = True
+        seen = set()
+        dmins = np.empty(n_eff, dtype=np.float64)
+        for j in range(n_eff):
+            if admissible[j]:
+                seen.add(keys[j])
+            dmins[j] = 0.0 if keys[tau + j] in seen else 1.0
+        backend.distance_evaluations = n_eff
+        mins = np.asarray(distance_transform(gauge)(dmins), dtype=np.float64)
         return PrefixGaugeProfile(n=n, tau=tau, exceptions=exc, mins=mins)
-    excluded = frozenset(exc)
-    counter = _Counter()
-    structure = _MetricStructure(gauge, path, counter, backend.leaf_size)
-    transform = distance_transform(gauge)
-    mins = np.empty(n_eff, dtype=np.float64)
-    for j in range(n_eff):
-        if j not in excluded:
-            structure.insert(j)
-        dmin = structure.query_min_distance(tau + j)
-        mins[j] = np.asarray(transform(dmin), dtype=np.float64)
-    backend.distance_evaluations = counter.value
+    keep_mask = None
+    if keep.size < n_eff:
+        keep_mask = np.zeros(n_eff, dtype=bool)
+        keep_mask[keep] = True
+    mins = _screened_mins(gauge, path, backend, tau + np.arange(n_eff),
+                          np.arange(1, n_eff + 1), keep=keep_mask)
     return PrefixGaugeProfile(n=n, tau=tau, exceptions=exc, mins=mins)
 
 
@@ -416,11 +183,10 @@ def leave_one_out_min(
 ) -> np.ndarray:
     """min over i != k of g(X_k, X_i) for every k, backend-agnostic values.
 
-    The indexed route screens the full block minus its diagonal when the
-    screen serves the gauge, and otherwise runs one forward and one
-    backward prefix pass at lag 1 and takes the elementwise minimum;
-    monotonicity of the distance transform makes either equal to the
-    direct leave-one-out scan.
+    The indexed route screens every row against all rows but itself, or,
+    for the discrete metric, reads distance 0 where a row's key occurs
+    again and 1 where it is unique; monotonicity of the distance transform
+    makes either equal to the direct leave-one-out scan.
     """
     n = len(path)
     if n < 2:
@@ -437,18 +203,11 @@ def leave_one_out_min(
 
     _check_indexable(gauge)
     check_gauge_path(gauge, path)
-    if _uses_screen(gauge, path):
-        return _screened_mins(gauge, path, backend, np.arange(n), np.full(n, n),
-                              skip_self=True)
-
-    fwd_backend = PrefixNNBackend.metric_indexed(backend.leaf_size)
-    bwd_backend = PrefixNNBackend.metric_indexed(backend.leaf_size)
-    fwd = prefix_min_indexed(path, gauge, tau=1, backend=fwd_backend)
-    bwd = prefix_min_indexed(path.reversed(), gauge, tau=1, backend=bwd_backend)
-    out = np.full(n, np.inf, dtype=np.float64)
-    out[1:] = fwd.mins
-    out[: n - 1] = np.minimum(out[: n - 1], bwd.mins[::-1])
-    backend.distance_evaluations = (
-        fwd_backend.distance_evaluations + bwd_backend.distance_evaluations
-    )
-    return out
+    if base_metric_kind(gauge) == "discrete":
+        keys = _discrete_keys(path)
+        counts = Counter(keys)
+        dmins = np.array([0.0 if counts[key] > 1 else 1.0 for key in keys])
+        backend.distance_evaluations = n
+        return np.asarray(distance_transform(gauge)(dmins), dtype=np.float64)
+    return _screened_mins(gauge, path, backend, np.arange(n), np.full(n, n),
+                          skip_self=True)

@@ -343,6 +343,8 @@ def _raster_render(template: np.ndarray, angles: np.ndarray, scales: np.ndarray)
             block += w * padded[corner + offset]
         block -= block.mean(axis=1, keepdims=True)
         norms = np.sqrt((block * block).sum(axis=1))
+        if not np.isfinite(norms).all():
+            raise ValueError("raster image norm overflows: template values are too large")
         if (norms < 1e-12).any():
             raise ValueError("degenerate raster image with zero contrast")
         block *= (0.5 / norms)[:, None]

@@ -158,6 +158,29 @@ def test_zero_contrast_template_keeps_its_message():
         embed(emb, SamplePath.from_coords([[0.3]]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_huge_template_values_fail_loudly():
+    # finite, but the image's sum of squares overflows to +inf
+    emb = EmbeddingSpec.raster_rotation(template=TEMPLATE_16 * 1e300)
+    with pytest.raises(ValueError, match="^raster image norm overflows"):
+        embed(emb, SamplePath.from_coords([[0.3]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_image_in_a_later_block():
+    # the huge corner pixel leaves the grid under an eighth turn, so only
+    # the one unrotated image overflows
+    tpl = TEMPLATE_16.copy()
+    tpl[0, 0] = 1e300
+    phases = np.full((2 * ROWS + 5, 1), 0.125)
+    phases[-3] = 0.0
+    emb = EmbeddingSpec.raster_rotation(template=tpl)
+    with pytest.raises(ValueError, match="^raster image norm overflows"):
+        embed(emb, SamplePath.from_coords(phases))
+    rest = embed(emb, SamplePath.from_coords(phases[:-3])).coords
+    assert np.allclose(np.sqrt((rest * rest).sum(axis=1)), 0.5)
+
+
 # SHA-256 of the raster embedding (with scaling) of a seeded 4096-point torus
 # path, computed with the whole-array render before the row-blocked kernel
 GOLDEN_TORUS_4096 = "703884af658b6b6201084215cf5da8d19ba0c4fa259cabb14f71ab6f2ae7ee95"

@@ -108,9 +108,7 @@ class TestBackendEquivalence:
                      GaugeSpec.local_lipschitz_truncated(float(scale))][trial % 4]
             tau = int(rng.integers(1, min(4, n)))
             a = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend.naive())
-            b = prefix_min_indexed(
-                path, gauge, tau,
-                backend=PrefixNNBackend.metric_indexed(leaf_size=int(rng.integers(2, 20))))
+            b = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend.metric_indexed())
             assert np.array_equal(a.mins, b.mins), (gauge.kind, n, d, scale)
 
     def test_regression_gauge_refuses_index(self):

@@ -6,10 +6,13 @@ The inputs aim at the screen's error bound: large offsets from the origin
 (underflow in the kernel and in the screen), exact duplicates, -0.0,
 grid-valued coordinates (exact distance ties) and one-ulp perturbations
 (near ties).  Small tiles exercise the multi-block and multi-chunk paths
-that only paths longer than a tile reach with the default sizes.
+that only paths longer than a tile reach with the default sizes, and a
+patched cluster count puts several clusters (or one per row) in front of
+the screen at the small sizes drawn here, at D in {1, 2, 8} as well as
+D >= 16.
 """
 
-from contextlib import nullcontext
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -26,7 +29,7 @@ from gaugebounds import (
     prefix_min_indexed,
 )
 from gaugebounds import geometry
-from gaugebounds.nnindex import SCREEN_MIN_DIM
+from gaugebounds.processes import EmbeddingSpec, ProcessSpec, embed, simulate
 
 # huge coordinates overflow the kernel and the smooth gauges to +inf, in
 # both backends
@@ -45,7 +48,7 @@ GAUGES = {
 
 
 @st.composite
-def adversarial_coords(draw, dims=(SCREEN_MIN_DIM, 256)):
+def adversarial_coords(draw, dims=(16, 256)):
     dim = draw(st.sampled_from(dims))
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -76,13 +79,20 @@ def adversarial_coords(draw, dims=(SCREEN_MIN_DIM, 256)):
 
 
 tiles = st.sampled_from([None, (3, 6), (5, 10), (8, 8)])
+# None keeps the derived count (about sqrt(n)); 3 forces a few clusters and
+# 1000 a centre on every distinct row
+clusters = st.sampled_from([None, 3, 1000])
 
 
-def _tiled(tile):
-    if tile is None:
-        return nullcontext()
-    cols, cells = tile
-    return mock.patch.multiple(geometry, _MAX_COLS=cols, _TILE=cells, _EXACT_BATCH=2 * 256)
+def _patched(tile, n_clusters):
+    stack = ExitStack()
+    if tile is not None:
+        cols, cells = tile
+        stack.enter_context(mock.patch.multiple(
+            geometry, _MAX_COLS=cols, _TILE=cells, _EXACT_BATCH=2 * 256))
+    if n_clusters is not None:
+        stack.enter_context(mock.patch.object(geometry, "_n_clusters", lambda n: n_clusters))
+    return stack
 
 
 def _path(coords, kind, rng):
@@ -95,54 +105,80 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-@SETTINGS
-@given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles)
-def test_prefix_screen_matches_oracle(coords, kind, seed, tile):
+def _check_prefix(coords, kind, seed, patch, exceptions):
     rng = np.random.default_rng(seed)
     n = len(coords)
     path, gauge = _path(coords, kind, rng), GAUGES[kind]
     tau = int(rng.integers(1, n))
-    naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
-    a = prefix_min_indexed(path, gauge, tau, backend=naive)
-    with _tiled(tile):
-        b = prefix_min_indexed(path, gauge, tau, backend=indexed)
-    assert np.array_equal(_bits(a.mins), _bits(b.mins))
-    assert indexed.distance_evaluations >= indexed.screened_pairs >= naive.distance_evaluations
-
-
-@SETTINGS
-@given(coords=adversarial_coords(), seed=st.integers(0, 2 ** 16), tile=tiles)
-def test_prefix_screen_with_boundary_exceptions(coords, seed, tile):
-    rng = np.random.default_rng(seed)
-    n = len(coords)
-    path, gauge = SamplePath.from_coords(coords), GAUGES["lipschitz"]
-    tau = int(rng.integers(1, n))
-    n_eff = n - tau
-    # position 0 must stay admissible; 1 and n_eff - 1 are the boundaries
-    picks = {i for i in (1, n_eff - 1) if 0 < i < n_eff}
-    picks |= {int(i) for i in rng.integers(1, max(2, n_eff), 3) if 0 < i < n_eff}
-    exc = ExceptionSet(indices=tuple(sorted(picks)), n_eff=n_eff)
+    exc = None
+    if exceptions:
+        n_eff = n - tau
+        # position 0 must stay admissible; 1 and n_eff - 1 are the boundaries
+        picks = {i for i in (1, n_eff - 1) if 0 < i < n_eff}
+        picks |= {int(i) for i in rng.integers(1, max(2, n_eff), 3) if 0 < i < n_eff}
+        exc = ExceptionSet(indices=tuple(sorted(picks)), n_eff=n_eff)
     naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
     a = prefix_min_indexed(path, gauge, tau, exc, naive)
-    with _tiled(tile):
+    with _patched(*patch):
         b = prefix_min_indexed(path, gauge, tau, exc, indexed)
     assert np.array_equal(_bits(a.mins), _bits(b.mins))
-    assert indexed.distance_evaluations >= indexed.screened_pairs >= naive.distance_evaluations
+    assert indexed.distance_evaluations >= indexed.screened_pairs
 
 
-@SETTINGS
-@given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles)
-def test_leave_one_out_screen_matches_oracle(coords, kind, seed, tile):
+def _check_leave_one_out(coords, kind, seed, patch):
     rng = np.random.default_rng(seed)
     path, gauge = _path(coords, kind, rng), GAUGES[kind]
     naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
     a = leave_one_out_min(path, gauge, naive)
-    with _tiled(tile):
+    with _patched(*patch):
         b = leave_one_out_min(path, gauge, indexed)
     assert np.array_equal(_bits(a), _bits(b))
-    assert indexed.distance_evaluations >= indexed.screened_pairs >= naive.distance_evaluations
+    assert indexed.distance_evaluations >= indexed.screened_pairs
+
+
+@SETTINGS
+@given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
+def test_prefix_screen_matches_oracle(coords, kind, seed, tile, n_clusters):
+    _check_prefix(coords, kind, seed, (tile, n_clusters), exceptions=False)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(), seed=st.integers(0, 2 ** 16), tile=tiles,
+       n_clusters=clusters)
+def test_prefix_screen_with_boundary_exceptions(coords, seed, tile, n_clusters):
+    _check_prefix(coords, "lipschitz", seed, (tile, n_clusters), exceptions=True)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
+def test_leave_one_out_screen_matches_oracle(coords, kind, seed, tile, n_clusters):
+    _check_leave_one_out(coords, kind, seed, (tile, n_clusters))
+
+
+LOW_DIMS = (1, 2, 8)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
+def test_low_dimension_prefix_matches_oracle(coords, kind, seed, tile, n_clusters):
+    _check_prefix(coords, kind, seed, (tile, n_clusters), exceptions=False)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
+def test_low_dimension_prefix_with_boundary_exceptions(coords, kind, seed, tile, n_clusters):
+    _check_prefix(coords, kind, seed, (tile, n_clusters), exceptions=True)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
+def test_low_dimension_leave_one_out_matches_oracle(coords, kind, seed, tile, n_clusters):
+    _check_leave_one_out(coords, kind, seed, (tile, n_clusters))
 
 
 def test_screen_evaluates_about_one_pair_per_row_on_spread_data():
@@ -150,17 +186,54 @@ def test_screen_evaluates_about_one_pair_per_row_on_spread_data():
     path = SamplePath.from_coords(rng.random((600, 64)))
     backend = PrefixNNBackend.metric_indexed()
     prefix_min_indexed(path, GaugeSpec.lipschitz(1.0), 1, backend=backend)
-    exact = backend.distance_evaluations - backend.screened_pairs
+    # exact evaluations beyond the build's one cluster radius per candidate
+    exact = backend.distance_evaluations - backend.screened_pairs - 599
     assert backend.screened_pairs >= 599 * 600 // 2
     assert 599 <= exact <= 2 * 599
 
 
-def test_below_the_screen_dimension_the_tree_serves():
-    rng = np.random.default_rng(6)
-    path = SamplePath.from_coords(rng.random((200, SCREEN_MIN_DIM - 1)))
-    backend = PrefixNNBackend.metric_indexed()
-    prefix_min_indexed(path, GaugeSpec.lipschitz(1.0), 1, backend=backend)
-    assert backend.screened_pairs == 0
+def _screened_and_naive(path):
+    gauge = GaugeSpec.lipschitz(1.0)
+    naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
+    a = prefix_min_indexed(path, gauge, 1, backend=naive)
+    b = prefix_min_indexed(path, gauge, 1, backend=indexed)
+    assert np.array_equal(_bits(a.mins), _bits(b.mins))
+    return indexed.screened_pairs, naive.distance_evaluations
+
+
+@pytest.mark.parametrize("path", [
+    SamplePath.from_coords(np.random.default_rng(6).random((1000, 2))),
+    embed(EmbeddingSpec.fourier(8), simulate(ProcessSpec.circle_rotation(p=0.01, seed=6), 1000)),
+], ids=["uniform-square", "fourier-8-circle"])
+def test_clusters_prune_on_low_dimensional_data(path):
+    screened, naive = _screened_and_naive(path)
+    assert screened < naive
+
+
+def test_nothing_is_pruned_on_subnormal_data():
+    # the kernel underflows, so the cluster bound's absolute term exceeds
+    # every centre bound and each pair is screened
+    coords = np.random.default_rng(7).standard_normal((200, 2)) * 1e-310
+    screened, naive = _screened_and_naive(SamplePath.from_coords(coords))
+    assert screened >= naive
+
+
+def test_repeated_runs_give_identical_minima_and_counts():
+    rng = np.random.default_rng(8)
+    path = SamplePath.from_coords(rng.random((700, 3)))
+    gauge = GaugeSpec.lipschitz(1.0)
+    runs = []
+    for _ in range(2):
+        backend = PrefixNNBackend.metric_indexed()
+        mins = prefix_min_indexed(path, gauge, 2, backend=backend).mins
+        counts = (backend.distance_evaluations, backend.screened_pairs)
+        loo = leave_one_out_min(path, gauge, backend)
+        runs.append((mins, counts, loo, (backend.distance_evaluations, backend.screened_pairs)))
+    (m1, c1, l1, d1), (m2, c2, l2, d2) = runs
+    assert np.array_equal(_bits(m1), _bits(m2)) and c1 == c2
+    assert np.array_equal(_bits(l1), _bits(l2)) and d1 == d2
+    # plain ints, so reports and traces serialise them as before
+    assert all(type(c) is int for c in c1 + d1)
 
 
 def _two_cluster_path(seed, dim, scale, separation, grid):
@@ -183,7 +256,7 @@ def _assert_backends_agree(path):
     assert np.array_equal(_bits(a), _bits(b))
 
 
-@pytest.mark.parametrize("dim", [SCREEN_MIN_DIM, 256])
+@pytest.mark.parametrize("dim", [16, 256])
 def test_gram_error_term_under_cancellation(dim):
     # clusters 1e8 apart: the Gram error is as large as the in-cluster
     # squared distances, so only the error term keeps the true minimum
@@ -191,7 +264,7 @@ def test_gram_error_term_under_cancellation(dim):
         _assert_backends_agree(_two_cluster_path(seed, dim, 1.0, 1e8, grid=False))
 
 
-@pytest.mark.parametrize("dim", [SCREEN_MIN_DIM, 256])
+@pytest.mark.parametrize("dim", [16, 256])
 def test_kernel_underflow_term_near_1e_minus_160(dim):
     # squares of 1e-161 are subnormal, so the kernel itself is off by ~1e-3,
     # and grid values give exact ties that only its rounding orders
