@@ -176,6 +176,8 @@ def excess_loss_probability_bound(
     """
     if not 0.0 <= gt_value <= 1.0:
         raise ValueError("gt_value must lie in [0, 1]")
+    if t is not None and not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     n_eff = _n_eff(n, mixing.tau)
     _check_delta(delta)
     estimator = 2.0 * gt_value
@@ -207,8 +209,8 @@ def risk_bound(
     variant: str = "martingale",
 ) -> BoundReport:
     """Bound on sup over the class of risk minus best observed penalty."""
-    if g_value < 0:
-        raise ValueError("g_value must be nonnegative")
+    if not 0.0 <= g_value < math.inf:
+        raise ValueError(f"g_value must be finite and nonnegative, got {g_value}")
     if variant not in ("martingale", "azuma"):
         raise ValueError("variant must be 'martingale' or 'azuma'")
     if not class_bounds.finite:
@@ -277,8 +279,8 @@ def risk_bound_with_exceptions(
     alpha * (n - tau), which must be an integer.  alpha = 0 reduces exactly
     to risk_bound.
     """
-    if g_value < 0:
-        raise ValueError("g_value must be nonnegative")
+    if not 0.0 <= g_value < math.inf:
+        raise ValueError(f"g_value must be finite and nonnegative, got {g_value}")
     if not class_bounds.finite:
         raise ValueError("exception-tolerant bounds need finite class sups")
     n_eff = _n_eff(n, mixing.tau)

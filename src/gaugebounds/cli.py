@@ -146,7 +146,8 @@ def _json_default(obj):
 def _write_json(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    # a NaN or infinity has no JSON token: fail rather than write one
+    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
     if out:
         FsPath(out).write_text(text)
     else:

@@ -18,6 +18,15 @@ sample point.  The leave-one-out variant of that estimate is the generalized
 Good-Turing estimator, also provided here, together with ground-truth
 missing mass for validation against a known sampling distribution.
 
+Each of these minima is stated once as the admissible-minimum problem
+(queries, limits, keep, skip_self) of geometry.  Profile entry j queries row
+tau + j with limit j + 1 and keeps the rows outside B; leave-one-out queries
+every row with limit n under skip_self; the ground truth appends the fresh
+draws to the path and queries them with limit n.  geometry._naive_mins
+answers all three here (the discrete truth takes geometry._discrete_min, and
+the Euclidean truth at D = 1 the sorted neighbours), and nnindex hands the
+same problems to its backends.
+
 Summation order is fixed (ascending position, plain left-to-right), so
 results are bit-reproducible.  All functions are pure; profiles are
 immutable and safe to share across threads.
@@ -32,14 +41,14 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    _TILE,
     GaugeSpec,
     SamplePath,
+    _discrete_min,
     _euclid_row,
+    _naive_mins,
     base_metric_kind,
     check_gauge_path,
     distance_transform,
-    gauge_block,
 )
 
 __all__ = [
@@ -140,35 +149,34 @@ class PrefixGaugeProfile:
         return self.n - self.tau
 
 
-def _keep_indices(n_eff: int, exceptions: ExceptionSet | None) -> np.ndarray:
-    if exceptions is None:
-        return np.arange(n_eff, dtype=np.intp)
-    if exceptions.n_eff != n_eff:
-        raise ValueError(f"exception set sized for n_eff={exceptions.n_eff}, path gives {n_eff}")
-    keep = np.ones(n_eff, dtype=bool)
-    if exceptions.indices:
-        keep[np.asarray(exceptions.indices, dtype=np.intp)] = False
-    return np.flatnonzero(keep).astype(np.intp)
-
-
-def _admissible_prefix(
+def _prefix_problem(
     path: SamplePath, gauge: GaugeSpec, tau: int, exceptions: ExceptionSet | None
-) -> np.ndarray:
-    """Checks a prefix-minimum request and returns the admissible candidate
-    positions (ascending); every backend validates through here."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Checks a prefix-minimum request and states it as the admissible-minimum
+    (queries, limits, keep) of geometry: entry j queries row tau + j and sees
+    the rows i <= j outside the exception set.  Every backend validates
+    through here."""
     n = len(path)
     if tau < 1:
         raise ValueError("tau must be a positive integer")
     if tau >= n:
         raise ValueError(f"tau={tau} must be smaller than the path length {n}")
     check_gauge_path(gauge, path)
-    keep = _keep_indices(n - tau, exceptions)
-    if keep.size == 0 or keep[0] != 0:
-        raise EmptyPrefixError(
-            f"no admissible prefix index for path position {tau} "
-            "(position 0 is excluded); the estimator is undefined there"
-        )
-    return keep
+    n_eff = n - tau
+    keep = None
+    if exceptions is not None:
+        if exceptions.n_eff != n_eff:
+            raise ValueError(
+                f"exception set sized for n_eff={exceptions.n_eff}, path gives {n_eff}")
+        if exceptions.indices[:1] == (0,):
+            raise EmptyPrefixError(
+                f"no admissible prefix index for path position {tau} "
+                "(position 0 is excluded); the estimator is undefined there"
+            )
+        if exceptions.indices:
+            keep = np.ones(n_eff, dtype=bool)
+            keep[np.asarray(exceptions.indices, dtype=np.intp)] = False
+    return tau + np.arange(n_eff), np.arange(1, n_eff + 1), keep
 
 
 def naive_prefix_mins(
@@ -176,34 +184,9 @@ def naive_prefix_mins(
     gauge: GaugeSpec,
     tau: int,
     exceptions: ExceptionSet | None = None,
-    count_sink: list | None = None,
 ) -> np.ndarray:
-    """Definitional quadratic scan; the oracle every backend must match.
-
-    count_sink, when given, receives the number of gauge evaluations
-    appended as a single integer.
-    """
-    keep = _admissible_prefix(path, gauge, tau, exceptions)
-    n_eff = len(path) - tau
-    # number of admissible candidates for entry j is the count of keep <= j
-    upto = np.searchsorted(keep, np.arange(n_eff), side="right")
-    mins = np.empty(n_eff, dtype=np.float64)
-    rows = max(1, _TILE // keep.size)
-    for j0 in range(0, n_eff, rows):
-        j1 = min(n_eff, j0 + rows)
-        lo, hi = upto[j0], upto[j1 - 1]
-        # without exceptions the candidates are a contiguous prefix, and a
-        # slice (view) replaces fancy indexing; the arithmetic is unchanged
-        cand = slice(0, hi) if keep.size == n_eff else keep[:hi]
-        vals = gauge_block(gauge, path, tau + np.arange(j0, j1), cand)
-        # the first lo candidates are admissible for every row of the block,
-        # the rest only for the rows at or after their position
-        tail = vals[:, lo:]
-        tail[keep[None, lo:hi] > np.arange(j0, j1)[:, None]] = np.inf
-        mins[j0:j1] = vals.min(axis=1)
-    if count_sink is not None:
-        count_sink.append(int(upto.sum()))
-    return mins
+    """Definitional quadratic scan; the oracle every backend must match."""
+    return _naive_mins(gauge, path, *_prefix_problem(path, gauge, tau, exceptions))[0]
 
 
 def prefix_min_profile(
@@ -235,25 +218,24 @@ def missing_mass_G(profile: PrefixGaugeProfile) -> float:
 
 def missing_mass_Gt(profile: PrefixGaugeProfile, t: float) -> float:
     """Fraction of prefix minima strictly above t (+inf entries count)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     return float(np.count_nonzero(profile.mins > t)) / profile.mins.size
 
 
-def leave_one_out_mins(path: SamplePath, gauge: GaugeSpec) -> np.ndarray:
-    """min over i != k of g(X_k, X_i), for every k; the quadratic reference."""
+def _loo_problem(path: SamplePath, gauge: GaugeSpec) -> tuple[np.ndarray, np.ndarray, None]:
+    """Checks a leave-one-out request and states it as (queries, limits, keep),
+    to be taken with skip_self: every row against all the others."""
     n = len(path)
     if n < 2:
         raise ValueError("need at least two points")
     check_gauge_path(gauge, path)
-    out = np.empty(n, dtype=np.float64)
-    rows = max(1, _TILE // n)
-    for k0 in range(0, n, rows):
-        k1 = min(n, k0 + rows)
-        vals = gauge_block(gauge, path, np.arange(k0, k1), slice(0, n))
-        vals[np.arange(k1 - k0), np.arange(k0, k1)] = np.inf
-        out[k0:k1] = vals.min(axis=1)
-    return out
+    return np.arange(n), np.full(n, n), None
+
+
+def leave_one_out_mins(path: SamplePath, gauge: GaugeSpec) -> np.ndarray:
+    """min over i != k of g(X_k, X_i), for every k; the quadratic reference."""
+    return _naive_mins(gauge, path, *_loo_problem(path, gauge), skip_self=True)[0]
 
 
 def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
@@ -262,8 +244,8 @@ def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
     With the Lipschitz gauge the usual convention measures isolation at a
     loss level t; pass threshold = t / L (equivalently use L = 1).
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     if gauge.kind not in ("lipschitz", "discrete"):
         raise ValueError("good_turing needs a metric-type gauge (lipschitz or discrete)")
     loo = leave_one_out_mins(path, gauge)
@@ -303,12 +285,13 @@ class MissingMassEstimate:
 
 
 def _joined(a: SamplePath, b: SamplePath) -> SamplePath:
-    """a's points followed by b's, for coordinate-based paths of one variant."""
+    """a's points followed by b's, for paths of one variant."""
     def cat(x, y):
         return None if x is None else np.concatenate((x, y))
 
     return SamplePath(kind=a.kind, coords=cat(a.coords, b.coords),
-                      labels=cat(a.labels, b.labels), targets=cat(a.targets, b.targets))
+                      symbols=cat(a.symbols, b.symbols), labels=cat(a.labels, b.labels),
+                      targets=cat(a.targets, b.targets))
 
 
 def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) -> np.ndarray:
@@ -316,21 +299,10 @@ def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) ->
     if fresh.kind != path.kind or fresh.dim != path.dim:
         raise ValueError("fresh draws must live in the sample path's space")
     check_gauge_path(gauge, path)
-    m = len(fresh)
     transform = distance_transform(gauge)
+    discrete = base_metric_kind(gauge) == "discrete"
 
-    if base_metric_kind(gauge) == "discrete":
-        if path.kind == "symbol":
-            unseen = ~np.isin(fresh.symbols, path.symbols)
-        else:
-            seen = {(row + 0.0).tobytes() for row in path.coords}
-            unseen = np.fromiter(
-                ((row + 0.0).tobytes() not in seen for row in fresh.coords),
-                dtype=bool, count=m,
-            )
-        return np.asarray(transform(unseen.astype(np.float64)), dtype=np.float64)
-
-    if path.kind == "coords" and path.dim == 1:
+    if path.kind == "coords" and path.dim == 1 and not discrete:
         # the kernel's minimum over a sorted D = 1 set sits at the query's
         # predecessor or successor (argument beside geometry._euclid_row);
         # searchsorted puts the elements below q before pos, the rest after
@@ -341,14 +313,12 @@ def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) ->
         dist = np.minimum(_euclid_row(below, fresh.coords), _euclid_row(above, fresh.coords))
         return np.asarray(transform(dist), dtype=np.float64)
 
-    n = len(path)
-    joined = _joined(fresh, path)
-    out = np.empty(m, dtype=np.float64)
-    rows = max(1, _TILE // n)
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        out[lo:hi] = gauge_block(gauge, joined, np.arange(lo, hi), slice(m, m + n)).min(axis=1)
-    return out
+    # the fresh draws query the whole path, which comes first in the join
+    n, m = len(path), len(fresh)
+    problem = (_joined(path, fresh), n + np.arange(m), np.full(m, n))
+    if discrete:
+        return np.asarray(transform(_discrete_min(*problem)[0]), dtype=np.float64)
+    return _naive_mins(gauge, *problem)[0]
 
 
 def true_missing_mass(
@@ -365,8 +335,8 @@ def true_missing_mass(
     Exact by enumeration for finite support; Monte Carlo with a binomial
     standard error otherwise.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     if isinstance(oracle, FiniteSupport):
         gaps = _min_gauge_to_path(gauge, path, oracle.support)
         value = float(oracle.probs[gaps > t].sum())

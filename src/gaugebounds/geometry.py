@@ -229,6 +229,12 @@ class SamplePath:
         )
 
 
+def _check_parameters(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class GaugeSpec:
     """Tagged description of one gauge variant and its parameters."""
@@ -243,40 +249,34 @@ class GaugeSpec:
 
     @classmethod
     def lipschitz(cls, L: float, metric: str = "euclidean") -> "GaugeSpec":
-        if L <= 0:
-            raise ValueError("L must be positive")
+        _check_parameters(L=L)
         if metric not in ("euclidean", "discrete"):
             raise ValueError("base metric must be 'euclidean' or 'discrete'")
         return cls(kind="lipschitz", L=float(L), metric=metric)
 
     @classmethod
     def regression(cls, L: float) -> "GaugeSpec":
-        if L <= 0:
-            raise ValueError("L must be positive")
+        _check_parameters(L=L)
         return cls(kind="regression", L=float(L))
 
     @classmethod
     def hinge_classification(cls, L: float) -> "GaugeSpec":
-        if L <= 0:
-            raise ValueError("L must be positive")
+        _check_parameters(L=L)
         return cls(kind="hinge", L=float(L))
 
     @classmethod
     def smooth(cls, gamma: float, lam: float) -> "GaugeSpec":
-        if gamma <= 0 or lam <= 0:
-            raise ValueError("gamma and lam must be positive")
+        _check_parameters(gamma=gamma, lam=lam)
         return cls(kind="smooth", gamma=float(gamma), lam=float(lam))
 
     @classmethod
     def local_lipschitz_truncated(cls, r0: float) -> "GaugeSpec":
-        if r0 <= 0:
-            raise ValueError("r0 must be positive")
+        _check_parameters(r0=r0)
         return cls(kind="local_lipschitz", r0=float(r0))
 
     @classmethod
     def local_smooth(cls, c: float) -> "GaugeSpec":
-        if c <= 0:
-            raise ValueError("c must be positive")
+        _check_parameters(c=c)
         return cls(kind="local_smooth", c=float(c))
 
     @classmethod
@@ -845,6 +845,100 @@ def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarra
     """Gauge values g(X[query], X[i]) for i in cand: gauge_block's one-query
     case."""
     return gauge_block(gauge, path, np.array([query], dtype=np.intp), cand)[0]
+
+
+# ---------------------------------------------------------------------------
+# admissible minima
+#
+# Every estimator is a minimum from a query point to a set of admissible path
+# rows, stated as (queries, limits, keep, skip_self): query r sees the rows
+# i < limits[r] with keep[i] (a bool mask over path rows, or None for all)
+# and, under skip_self, i != queries[r].  Three kernels answer it, each with
+# its evaluation count: _naive_mins (the gauge_block oracle), _discrete_min
+# (key occurrences) and _euclid_min_screened (the certified screen).  A query
+# without candidates gets +inf.
+# ---------------------------------------------------------------------------
+
+def _candidates(queries: np.ndarray, limits: np.ndarray, keep: np.ndarray | None,
+                skip_self: bool):
+    """The candidate rows in ascending order, the number of them each query
+    admits before skip_self, and each query's own column among them (-1
+    where skip_self leaves nothing to drop)."""
+    top = int(limits.max())
+    cand = np.arange(top) if keep is None else np.flatnonzero(keep[:top])
+    upto = np.searchsorted(cand, limits)
+    own = np.full(queries.size, -1)
+    if skip_self and cand.size:
+        at = np.searchsorted(cand, queries)
+        mine = (at < upto) & (cand[np.minimum(at, cand.size - 1)] == queries)
+        own[mine] = at[mine]
+    return cand, upto, own
+
+
+def _naive_mins(
+    gauge: GaugeSpec,
+    path: SamplePath,
+    queries: np.ndarray,
+    limits: np.ndarray,
+    keep: np.ndarray | None = None,
+    skip_self: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Gauge minima straight from gauge_block, the oracle every kernel must
+    match, and the definitional pair count.  Rows are blocked to about
+    _TILE candidate values at a time."""
+    cand, upto, own = _candidates(queries, limits, keep, skip_self)
+    prefix = cand.size == 0 or cand[-1] == cand.size - 1
+    m = queries.size
+    mins = np.empty(m)
+    rows = max(1, _TILE // max(1, cand.size))
+    for r0 in range(0, m, rows):
+        r = slice(r0, min(m, r0 + rows))
+        lo, hi = int(upto[r].min()), int(upto[r].max())
+        # a contiguous candidate prefix is a slice (view), not fancy indexing;
+        # the arithmetic is unchanged
+        vals = gauge_block(gauge, path, queries[r], slice(0, hi) if prefix else cand[:hi])
+        # the first lo candidates are admissible for every row of the block,
+        # the rest only for the rows whose limit lies past them
+        tail = vals[:, lo:]
+        tail[np.arange(lo, hi)[None, :] >= upto[r, None]] = np.inf
+        if skip_self:
+            hit = np.flatnonzero(own[r] >= 0)
+            vals[hit, own[r][hit]] = np.inf
+        mins[r] = vals.min(axis=1, initial=np.inf)
+    return mins, int(upto.sum()) - int(np.count_nonzero(own >= 0))
+
+
+def _discrete_min(
+    path: SamplePath,
+    queries: np.ndarray,
+    limits: np.ndarray,
+    keep: np.ndarray | None = None,
+    skip_self: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Discrete-metric minima: 0.0 where an admissible row equals the query,
+    else 1.0 (+inf without candidates), from the first two admissible
+    occurrences of each distinct point; one evaluation per query."""
+    if path.kind == "symbol":
+        keys = path.symbols
+    else:
+        # +0.0 folds -0.0 onto +0.0, so equal bytes mean equal points
+        rows = np.ascontiguousarray(path.coords + 0.0)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    distinct, ids = np.unique(keys, return_inverse=True)
+    cand, upto, own = _candidates(queries, limits, keep, skip_self)
+    # each point's first and second admissible rows; len(path) where missing
+    first, second = np.full((2, distinct.size), len(path))
+    np.minimum.at(first, ids[cand], cand)
+    rest = cand[first[ids[cand]] != cand]
+    np.minimum.at(second, ids[rest], rest)
+    q = ids[queries]
+    match = first[q]
+    if skip_self:
+        # a query that is its point's first admissible row sees the second
+        match = np.where(match == queries, second[q], match)
+    out = np.where(upto > (own >= 0), 1.0, np.inf)
+    out[match < limits] = 0.0
+    return out, queries.size
 
 
 def eval_gauge(gauge: GaugeSpec, y: Point, x: Point) -> float:

@@ -402,8 +402,8 @@ def validate_good_turing(
         raise ValueError("need at least 2 symbols")
     if n < 2:
         raise ValueError("need n >= 2")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     if probs is None:
         probs = np.full(n_symbols, 1.0 / n_symbols)
     else:

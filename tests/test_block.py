@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaugebounds import ExceptionSet, GaugeSpec, SamplePath
-from gaugebounds import estimators, geometry
+from gaugebounds import ExceptionSet, GaugeSpec, PrefixNNBackend, SamplePath, prefix_min_indexed
+from gaugebounds import geometry
 from gaugebounds.estimators import _min_gauge_to_path, leave_one_out_mins, naive_prefix_mins
 from gaugebounds.geometry import (
     _euclid_row,
@@ -58,7 +58,6 @@ def _tiled(tile):
     stack = ExitStack()
     if tile is not None:
         stack.enter_context(mock.patch.object(geometry, "_TILE", tile))
-        stack.enter_context(mock.patch.object(estimators, "_TILE", tile))
     return stack
 
 
@@ -141,11 +140,13 @@ def test_naive_prefix_matches_row_loop(coords, case, seed, tile, with_exceptions
         cand = keep[keep <= j]
         expected.append(_row_reference(gauge, path, tau + j, cand).min())
         count += cand.size
-    sink = []
+    backend = PrefixNNBackend.naive()
     with _tiled(tile):
-        mins = naive_prefix_mins(path, gauge, tau, exc, count_sink=sink)
+        mins = naive_prefix_mins(path, gauge, tau, exc)
+        profile = prefix_min_indexed(path, gauge, tau, exc, backend)
     assert np.array_equal(_bits(mins), _bits(expected))
-    assert sink == [count]
+    assert np.array_equal(_bits(profile.mins), _bits(expected))
+    assert backend.distance_evaluations == count
 
 
 @SETTINGS
@@ -256,6 +257,6 @@ def test_label_and_target_gauges_at_d1_use_the_block(variant):
         gauge = GaugeSpec.regression(1.5)
         path = SamplePath.from_paired(xs, rng.standard_normal(30))
         fresh = SamplePath.from_paired(qs, rng.standard_normal(50))
-    with mock.patch.object(estimators, "gauge_block", wraps=gauge_block) as block:
+    with mock.patch.object(geometry, "gauge_block", wraps=gauge_block) as block:
         _assert_truth_exact(gauge, path, fresh)
     assert block.called

@@ -119,6 +119,27 @@ class TestRiskBound:
         assert rep.vacuous and rep.total > 1.0
 
 
+class TestNonFiniteInputs:
+    CB = ClassBounds(sup_f=1.0, sup_g=1.0)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -1.0])
+    def test_g_value_rejected_by_name(self, g):
+        mix = MixingProfile.iid()
+        with pytest.raises(ValueError, match="g_value must be finite and nonnegative"):
+            risk_bound(g, self.CB, mix, n=100, delta=0.1)
+        with pytest.raises(ValueError, match="g_value must be finite and nonnegative"):
+            risk_bound_with_exceptions(g, self.CB, mix, n=100, delta=0.1, alpha=0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -0.5])
+    def test_echoed_t_rejected_by_name(self, t):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            excess_loss_probability_bound(0.1, MixingProfile.iid(), n=100, delta=0.1, t=t)
+
+    def test_gt_value_nan_rejected(self):
+        with pytest.raises(ValueError, match="gt_value"):
+            excess_loss_probability_bound(math.nan, MixingProfile.iid(), n=100, delta=0.1)
+
+
 class TestEntropyPenalty:
     def test_h_zero(self):
         assert entropy_penalty(0.0, 100) == (0.0, 0.0)

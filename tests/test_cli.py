@@ -378,6 +378,27 @@ class TestMalformedSpecs:
                        "message": f"spec {spec!r} is missing the key {key!r}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, name", [
+        ("lipschitz:L=inf", "L"),
+        ("lipschitz:L=nan,metric=discrete", "L"),
+        ("regression:L=nan", "L"),
+        ("hinge:L=inf", "L"),
+        ("smooth:gamma=nan,lambda=1", "gamma"),
+        ("smooth:gamma=1,lambda=inf", "lam"),
+        ("local-lipschitz:r0=nan", "r0"),
+        ("local-smooth:c=inf", "c"),
+    ])
+    def test_non_finite_gauge_parameter(self, capsys, tmp_path, spec, name):
+        # a NaN parameter would make every minimum +inf and the report read g_t = 1.0
+        pfile = tmp_path / "p.csv"
+        pfile.write_text("c0\n0\n1\n0.5\n")
+        out = tmp_path / "r.json"
+        err = self.error_of(capsys, ["estimate", "--in", str(pfile), "--gauge", spec,
+                                     "--tau", "1", "--t", "0.1", "--out", str(out)])
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{name} must be finite and positive, got ")
+        assert not out.exists()
+
     def test_estimate_parses_specs_before_reading(self, capsys, tmp_path):
         err = self.error_of(capsys, ["estimate", "--in", str(tmp_path / "missing.csv"),
                                      "--gauge", "lipschitz:L=", "--tau", "1"])
@@ -385,3 +406,56 @@ class TestMalformedSpecs:
         err = self.error_of(capsys, ["estimate", "--in", str(tmp_path / "missing.csv"),
                                      "--gauge", "lipschitz:L=1", "--tau", "1", "--exclude", "1,x"])
         assert err["type"] == "ValueError" and "'x'" in err["message"]
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite threshold or estimate fails by name, and no report
+    holds a token that is not JSON."""
+
+    def error_of(self, capsys, args):
+        assert run(args) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_estimate_threshold(self, capsys, tmp_path, value):
+        pfile = tmp_path / "p.csv"
+        pfile.write_text("c0\n0\n1\n0.5\n")
+        out = tmp_path / "r.json"
+        err = self.error_of(capsys, ["estimate", "--in", str(pfile), "--gauge", "lipschitz:L=1",
+                                     "--tau", "1", "--t", value, "--out", str(out)])
+        assert err["message"] == f"t must be finite and positive, got {value}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "risk", "--g", "nan"], "g_value must be finite and nonnegative, got nan"),
+        (["--kind", "risk-exceptions", "--g", "inf"],
+         "g_value must be finite and nonnegative, got inf"),
+        (["--kind", "excess-loss", "--gt", "0.1", "--t", "nan"],
+         "t must be finite and positive, got nan"),
+    ])
+    def test_bound_inputs(self, capsys, tmp_path, args, message):
+        out = tmp_path / "b.json"
+        err = self.error_of(capsys, ["bound", *args, "--n", "10", "--tau", "1",
+                                     "--delta", "0.1", "--out", str(out)])
+        assert err == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check, message", [
+        ("good-turing", "threshold must be finite and positive, got nan"),
+        ("coverage", "t must be finite and positive, got nan"),
+    ])
+    def test_validate_threshold(self, capsys, tmp_path, check, message):
+        out = tmp_path / "v.json"
+        err = self.error_of(capsys, ["validate", "--check", check, "--t", "nan", "--n", "16",
+                                     "--trials", "2", "--out", str(out)])
+        assert err == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_reports_never_hold_non_json_numbers(self, tmp_path, value):
+        out = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            cli._write_json({"t": value}, str(out))
+        assert not out.exists()
+        cli._write_json({"t": 0.5, "nested": [1.0, {"x": 2}]}, str(out))
+        assert json.loads(out.read_text())["t"] == 0.5

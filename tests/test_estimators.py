@@ -257,6 +257,18 @@ class TestTrueMissingMass:
         assert sup_side == pytest.approx(mm.value, abs=0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+def test_thresholds_must_be_finite_and_positive(t):
+    path = line_path(0.0, 0.1, 0.9)
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        missing_mass_Gt(prefix_min_profile(path, LIP, 1), t)
+    with pytest.raises(ValueError, match="threshold must be finite and positive"):
+        good_turing(path, LIP, t)
+    support = FiniteSupport(support=line_path(0.0, 0.5), probs=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        true_missing_mass(path, LIP, t, support)
+
+
 class TestExceptionSet:
     def test_alpha(self):
         exc = ExceptionSet(indices=(1, 4), n_eff=8)
