@@ -46,7 +46,6 @@ from .geometry import (
     pairwise_gauge,
 )
 from .nnindex import (
-    BackendMismatchError,
     PrefixNNBackend,
     leave_one_out_min,
     prefix_min_indexed,

@@ -94,8 +94,10 @@ class ClassBounds:
     sup_g: float
 
     def __post_init__(self):
-        if self.sup_f < 0 or self.sup_g < 0:
-            raise ValueError("class sups must be nonnegative")
+        for name in ("sup_f", "sup_g"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be nonnegative (+inf allowed), got {value}")
 
     @property
     def finite(self) -> bool:
@@ -285,6 +287,8 @@ def risk_bound_with_exceptions(
         raise ValueError("exception-tolerant bounds need finite class sups")
     n_eff = _n_eff(n, mixing.tau)
     _check_delta(delta)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     count_f = alpha * n_eff
     if abs(count_f - round(count_f)) > 1e-9:
         raise ValueError(f"alpha * (n - tau) = {count_f} is not an integer")
@@ -328,8 +332,8 @@ def covering_tail_bound(
         raise ValueError("n_cover must be a positive integer")
     if n < 1 or tau < 1:
         raise ValueError("n and tau must be positive integers")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     if not 0.0 <= alpha_tau <= 1.0:
         raise ValueError("alpha_tau must lie in [0, 1]")
     q = _snap_to_int(n * t / (2.0 * tau))

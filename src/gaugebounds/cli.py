@@ -154,10 +154,6 @@ def _write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _backend(name: str) -> PrefixNNBackend:
-    return PrefixNNBackend.naive() if name == "naive" else PrefixNNBackend.metric_indexed()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -177,7 +173,7 @@ def _cmd_estimate(args) -> int:
     exceptions = None
     if indices is not None:
         exceptions = ExceptionSet(indices=indices, n_eff=len(path) - args.tau)
-    backend = _backend(args.backend)
+    backend = PrefixNNBackend(args.backend)
     profile = prefix_min_indexed(path, gauge, args.tau, exceptions, backend)
     report = {
         "n": len(path),
@@ -197,7 +193,7 @@ def _cmd_estimate(args) -> int:
         report["g_t"] = missing_mass_Gt(profile, args.t)
         if gauge.kind in ("lipschitz", "discrete") and exceptions is None:
             # estimators.good_turing's isolation fraction, on the chosen backend
-            loo = leave_one_out_min(path, gauge, _backend(args.backend))
+            loo = leave_one_out_min(path, gauge, backend)
             report["good_turing"] = float(np.count_nonzero(loo > args.t)) / loo.size
         else:
             report["good_turing"] = None

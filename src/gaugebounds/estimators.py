@@ -23,9 +23,9 @@ Each of these minima is stated once as the admissible-minimum problem
 tau + j with limit j + 1 and keeps the rows outside B; leave-one-out queries
 every row with limit n under skip_self; the ground truth appends the fresh
 draws to the path and queries them with limit n.  geometry._naive_mins
-answers all three here (the discrete truth takes geometry._discrete_min, and
-the Euclidean truth at D = 1 the sorted neighbours), and nnindex hands the
-same problems to its backends.
+answers the prefix and leave-one-out oracles here, the truth takes
+geometry.admissible_mins on the indexed kind, and nnindex hands the prefix
+and leave-one-out problems to admissible_mins on its backend's kind.
 
 Summation order is fixed (ascending position, plain left-to-right), so
 results are bit-reproducible.  All functions are pure; profiles are
@@ -43,12 +43,9 @@ import numpy as np
 from .geometry import (
     GaugeSpec,
     SamplePath,
-    _discrete_min,
-    _euclid_row,
     _naive_mins,
-    base_metric_kind,
+    admissible_mins,
     check_gauge_path,
-    distance_transform,
 )
 
 __all__ = [
@@ -299,26 +296,10 @@ def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) ->
     if fresh.kind != path.kind or fresh.dim != path.dim:
         raise ValueError("fresh draws must live in the sample path's space")
     check_gauge_path(gauge, path)
-    transform = distance_transform(gauge)
-    discrete = base_metric_kind(gauge) == "discrete"
-
-    if path.kind == "coords" and path.dim == 1 and not discrete:
-        # the kernel's minimum over a sorted D = 1 set sits at the query's
-        # predecessor or successor (argument beside geometry._euclid_row);
-        # searchsorted puts the elements below q before pos, the rest after
-        xs = np.sort(path.coords[:, 0])
-        pos = np.searchsorted(xs, fresh.coords[:, 0])
-        below = xs[np.maximum(pos - 1, 0), None]
-        above = xs[np.minimum(pos, xs.size - 1), None]
-        dist = np.minimum(_euclid_row(below, fresh.coords), _euclid_row(above, fresh.coords))
-        return np.asarray(transform(dist), dtype=np.float64)
-
     # the fresh draws query the whole path, which comes first in the join
     n, m = len(path), len(fresh)
-    problem = (_joined(path, fresh), n + np.arange(m), np.full(m, n))
-    if discrete:
-        return np.asarray(transform(_discrete_min(*problem)[0]), dtype=np.float64)
-    return _naive_mins(gauge, *problem)[0]
+    return admissible_mins(gauge, _joined(path, fresh), "indexed",
+                           n + np.arange(m), np.full(m, n))[0]
 
 
 def true_missing_mass(

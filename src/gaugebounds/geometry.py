@@ -853,10 +853,11 @@ def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarra
 # Every estimator is a minimum from a query point to a set of admissible path
 # rows, stated as (queries, limits, keep, skip_self): query r sees the rows
 # i < limits[r] with keep[i] (a bool mask over path rows, or None for all)
-# and, under skip_self, i != queries[r].  Three kernels answer it, each with
+# and, under skip_self, i != queries[r].  Four kernels answer it, each with
 # its evaluation count: _naive_mins (the gauge_block oracle), _discrete_min
-# (key occurrences) and _euclid_min_screened (the certified screen).  A query
-# without candidates gets +inf.
+# (key occurrences), _sorted_min (D = 1 sorted neighbours) and
+# _euclid_min_screened (the certified screen).  admissible_mins is the one
+# place that picks among them.  A query without candidates gets +inf.
 # ---------------------------------------------------------------------------
 
 def _candidates(queries: np.ndarray, limits: np.ndarray, keep: np.ndarray | None,
@@ -939,6 +940,60 @@ def _discrete_min(
     out = np.where(upto > (own >= 0), 1.0, np.inf)
     out[match < limits] = 0.0
     return out, queries.size
+
+
+def _sorted_min(coords: np.ndarray, queries: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """D = 1 minima of _euclid_row over the rows i < top, which every query
+    sees, from each query's predecessor and successor among the sorted rows
+    (the argument above _euclid_row); two evaluations per query."""
+    if top == 0:
+        return np.full(queries.size, np.inf), 0
+    xs = np.sort(coords[:top, 0])
+    q = coords[queries]
+    # searchsorted puts the rows below q before pos, the rest after
+    pos = np.searchsorted(xs, q[:, 0])
+    below = xs[np.maximum(pos - 1, 0), None]
+    above = xs[np.minimum(pos, xs.size - 1), None]
+    return np.minimum(_euclid_row(below, q), _euclid_row(above, q)), 2 * queries.size
+
+
+def admissible_mins(
+    gauge: GaugeSpec,
+    path: SamplePath,
+    kind: str,
+    queries: np.ndarray,
+    limits: np.ndarray,
+    keep: np.ndarray | None = None,
+    skip_self: bool = False,
+) -> tuple[np.ndarray, int, int]:
+    """Gauge minima of one admissible-minimum problem on a backend kind,
+    "naive" or "indexed", with the pairs valued in any form and the
+    Gram-screened share of them.  The one place that picks a kernel.
+
+    naive, and the regression gauge on either kind, take _naive_mins.  The
+    indexed kind minimizes the base metric and applies the nondecreasing
+    distance_transform once, to the minimum: _discrete_min for a discrete
+    base metric, _sorted_min at D = 1 where every query sees the same rows
+    and no keep mask or labels gate them (the truth's shape), and
+    _euclid_min_screened (hinge labels masking pairs) otherwise.  Every
+    kernel returns the oracle's floats, so both kinds give the same minima
+    bit for bit.
+    """
+    if kind == "naive" or gauge.kind == "regression":
+        mins, evaluations = _naive_mins(gauge, path, queries, limits, keep, skip_self)
+        return mins, evaluations, 0
+    screened = 0
+    if base_metric_kind(gauge) == "discrete":
+        dmins, evaluations = _discrete_min(path, queries, limits, keep, skip_self)
+    elif (path.dim == 1 and gauge.kind != "hinge" and keep is None and not skip_self
+          and (limits == limits[0]).all()):
+        dmins, evaluations = _sorted_min(path.coords, queries, int(limits[0]))
+    else:
+        labels = path.labels if gauge.kind == "hinge" else None
+        dmins, screened, exact = _euclid_min_screened(
+            path.coords, queries, limits, keep=keep, labels=labels, skip_self=skip_self)
+        evaluations = screened + exact
+    return np.asarray(distance_transform(gauge)(dmins), dtype=np.float64), evaluations, screened
 
 
 def eval_gauge(gauge: GaugeSpec, y: Point, x: Point) -> float:

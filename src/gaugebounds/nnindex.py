@@ -2,26 +2,36 @@
 
 Prefix and leave-one-out minima are each stated once, by the estimators, as
 the admissible-minimum problem (queries, limits, keep, skip_self) of
-geometry; one dispatcher hands it to the chosen backend's kernel:
+geometry, and geometry.admissible_mins answers it for the backend's kind:
 
-  * naive: geometry._naive_mins, the definitional gauge_block scan.  Its
-    count is the number of admissible pairs.
-  * metric-indexed, Euclidean base metric (any dimension): the
-    cluster-pruned certified Gram screen of geometry._euclid_min_screened.
-    Hinge labels mask pairs.  Its count covers every pair valued in any
-    form: Gram values of the centre traversal and the tiles (screened_pairs
-    counts these alone), and exact kernel evaluations of cluster radii and
-    survivors.
-  * metric-indexed, discrete base metric: geometry._discrete_min, from the
-    first two admissible occurrences of each point; one evaluation per
-    query.
+  =======  ===================================  ============================
+  kind     gauge and problem                    kernel: its count
+  =======  ===================================  ============================
+  naive    every gauge                          _naive_mins, the definitional
+                                                gauge_block scan: the
+                                                admissible pairs
+  indexed  regression                           _naive_mins, as naive
+  indexed  discrete base metric                 _discrete_min: one per query
+  indexed  Euclidean base metric at D = 1,      _sorted_min, the sorted
+           every query seeing the same rows     neighbours: two per query
+           (no exception set, skip_self or
+           labels; of the prefix problems only
+           a one-entry profile)
+  indexed  any other Euclidean base metric      _euclid_min_screened, the
+                                                cluster-pruned certified
+                                                Gram screen; hinge labels
+                                                mask pairs
+  =======  ===================================  ============================
 
-Every supported gauge is a nondecreasing transform of its base metric, so
-the metric index minimizes the base distance and applies the transform once,
-to the minimum.  The screen's minima are the naive kernel's own floats, so
-the indexed minima equal the naive ones value for value, not merely
-closely; only minimum values are consumed, so ties need no rule.  The
-regression gauge is a product metric and runs on the naive backend only.
+The screen counts every pair valued in any form: Gram values of the centre
+traversal and the tiles (screened_pairs counts these alone), and exact
+kernel evaluations of cluster radii and survivors.
+
+Every gauge but regression is a nondecreasing transform of its base metric,
+so the metric index minimizes the base distance and applies the transform
+once, to the minimum.  Every kernel returns the naive kernel's own floats,
+so the indexed minima equal the naive ones value for value, not merely
+closely; only minimum values are consumed, so ties need no rule.
 
 A backend instance carries the telemetry of its last run and is
 single-owner while a computation runs; results are plain immutable values.
@@ -39,32 +49,19 @@ from .estimators import (
     _loo_problem,
     _prefix_problem,
 )
-from .geometry import (
-    GaugeSpec,
-    SamplePath,
-    _discrete_min,
-    _euclid_min_screened,
-    _naive_mins,
-    base_metric_kind,
-    distance_transform,
-)
+from .geometry import GaugeSpec, SamplePath, admissible_mins
 
 __all__ = [
     "PrefixNNBackend",
-    "BackendMismatchError",
     "prefix_min_indexed",
     "leave_one_out_min",
 ]
 
 
-class BackendMismatchError(ValueError):
-    """The requested backend cannot serve the given gauge."""
-
-
 @dataclass
 class PrefixNNBackend:
-    """Backend selector plus the telemetry of the last run: pair
-    evaluations of any kind, and the screened share of them.  Not
+    """Backend kind, "naive" or "indexed", plus the telemetry of the last
+    run: pair evaluations of any kind, and the screened share of them.  Not
     thread-shareable while a computation is in flight."""
 
     kind: str
@@ -77,14 +74,14 @@ class PrefixNNBackend:
 
     @classmethod
     def metric_indexed(cls) -> "PrefixNNBackend":
-        return cls(kind="metric-indexed")
+        return cls(kind="indexed")
 
     def __post_init__(self):
-        if self.kind not in ("naive", "metric-indexed"):
-            raise ValueError("backend kind must be 'naive' or 'metric-indexed'")
+        if self.kind not in ("naive", "indexed"):
+            raise ValueError(f"backend kind must be 'naive' or 'indexed', got {self.kind!r}")
 
 
-def _admissible_mins(
+def _mins(
     path: SamplePath,
     gauge: GaugeSpec,
     backend: PrefixNNBackend | None,
@@ -93,29 +90,13 @@ def _admissible_mins(
     keep: np.ndarray | None,
     skip_self: bool = False,
 ) -> np.ndarray:
-    """Gauge minima of one admissible-minimum problem on the chosen backend,
-    which receives the run's telemetry."""
+    """Minima of one problem on the chosen backend, which receives the
+    run's counts."""
     if backend is None:
         backend = PrefixNNBackend.naive()
-    if backend.kind == "naive":
-        mins, evaluations = _naive_mins(gauge, path, queries, limits, keep, skip_self)
-        backend.distance_evaluations, backend.screened_pairs = evaluations, 0
-        return mins
-    if gauge.kind == "regression":
-        raise BackendMismatchError(
-            "the regression gauge runs on the naive backend only; its product "
-            "metric is not served by the metric index"
-        )
-    screened = 0
-    if base_metric_kind(gauge) == "discrete":
-        dmins, evaluations = _discrete_min(path, queries, limits, keep, skip_self)
-    else:
-        labels = path.labels if gauge.kind == "hinge" else None
-        dmins, screened, exact = _euclid_min_screened(
-            path.coords, queries, limits, keep=keep, labels=labels, skip_self=skip_self)
-        evaluations = screened + exact
-    backend.distance_evaluations, backend.screened_pairs = evaluations, screened
-    return np.asarray(distance_transform(gauge)(dmins), dtype=np.float64)
+    mins, backend.distance_evaluations, backend.screened_pairs = admissible_mins(
+        gauge, path, backend.kind, queries, limits, keep, skip_self)
+    return mins
 
 
 def prefix_min_indexed(
@@ -126,7 +107,7 @@ def prefix_min_indexed(
     backend: PrefixNNBackend | None = None,
 ) -> PrefixGaugeProfile:
     """Prefix minima through the chosen backend; identical output either way."""
-    mins = _admissible_mins(path, gauge, backend, *_prefix_problem(path, gauge, tau, exceptions))
+    mins = _mins(path, gauge, backend, *_prefix_problem(path, gauge, tau, exceptions))
     exc = () if exceptions is None else exceptions.indices
     return PrefixGaugeProfile(n=len(path), tau=tau, exceptions=exc, mins=mins)
 
@@ -137,4 +118,4 @@ def leave_one_out_min(
     backend: PrefixNNBackend | None = None,
 ) -> np.ndarray:
     """min over i != k of g(X_k, X_i) for every k, backend-agnostic values."""
-    return _admissible_mins(path, gauge, backend, *_loo_problem(path, gauge), skip_self=True)
+    return _mins(path, gauge, backend, *_loo_problem(path, gauge), skip_self=True)

@@ -485,8 +485,7 @@ def decay_study(
     else:
         ps = list(p_list) if p_list else [proc.reset_p]
         variants = [(float(p), proc.with_reset_p(p)) for p in ps]
-    if backend not in ("naive", "indexed"):
-        raise ValueError("backend must be 'naive' or 'indexed'")
+    PrefixNNBackend(backend)   # the one check of the backend name
     n_max = usable[-1]
     seeds = _trial_seeds(seed, len(variants) * n_seeds)
 
@@ -494,11 +493,7 @@ def decay_study(
         vi, si = job
         spec = variants[vi][1].with_seed(int(seeds[vi * n_seeds + si]))
         path = embed(emb, simulate(spec, n_max))
-        if backend == "indexed":
-            profile = prefix_min_indexed(path, gauge, tau,
-                                         backend=PrefixNNBackend.metric_indexed())
-        else:
-            profile = prefix_min_profile(path, gauge, tau)
+        profile = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend(backend))
         return vi, profile.mins
 
     jobs = [(vi, si) for vi in range(len(variants)) for si in range(n_seeds)]

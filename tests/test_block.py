@@ -257,6 +257,9 @@ def test_label_and_target_gauges_at_d1_use_the_block(variant):
         gauge = GaugeSpec.regression(1.5)
         path = SamplePath.from_paired(xs, rng.standard_normal(30))
         fresh = SamplePath.from_paired(qs, rng.standard_normal(50))
-    with mock.patch.object(geometry, "gauge_block", wraps=gauge_block) as block:
-        _assert_truth_exact(gauge, path, fresh)
-    assert block.called
+    # labels or targets change these minima, so the label-blind sorted
+    # neighbours would give other values
+    blind = _min_gauge_to_path(GaugeSpec.lipschitz(gauge.L), SamplePath.from_coords(xs),
+                               SamplePath.from_coords(qs))
+    assert not np.array_equal(blind, _brute_min(gauge, path, fresh))
+    _assert_truth_exact(gauge, path, fresh)

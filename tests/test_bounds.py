@@ -139,6 +139,27 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="gt_value"):
             excess_loss_probability_bound(math.nan, MixingProfile.iid(), n=100, delta=0.1)
 
+    @pytest.mark.parametrize("sup", [math.nan, -1.0])
+    def test_class_sups_rejected_by_name(self, sup):
+        with pytest.raises(ValueError, match=rf"^sup_f must be nonnegative \(\+inf allowed\), got {sup}$"):
+            ClassBounds(sup_f=sup, sup_g=1.0)
+        with pytest.raises(ValueError, match=rf"^sup_g must be nonnegative \(\+inf allowed\), got {sup}$"):
+            ClassBounds(sup_f=1.0, sup_g=sup)
+
+    def test_infinite_class_sup_stays_legal(self):
+        assert not ClassBounds(sup_f=math.inf, sup_g=1.0).finite
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0])
+    def test_alpha_rejected_by_name(self, alpha):
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\), got {alpha}$"):
+            risk_bound_with_exceptions(0.1, self.CB, MixingProfile.iid(), n=100, delta=0.1,
+                                       alpha=alpha)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -0.5])
+    def test_covering_level_rejected_by_name(self, t):
+        with pytest.raises(ValueError, match=rf"^t must be finite and positive, got {t}$"):
+            covering_tail_bound(10, n=1000, tau=10, t=t, alpha_tau=0.0)
+
 
 class TestEntropyPenalty:
     def test_h_zero(self):

@@ -296,6 +296,28 @@ def test_indexed_good_turing_matches_naive(tmp_path):
     assert 0.0 < reports["indexed"]["good_turing"] < 1.0
 
 
+def test_indexed_regression_report_matches_naive(tmp_path):
+    # the indexed backend serves the regression gauge with the naive kernel
+    pfile = tmp_path / "p.csv"
+    pfile.write_text("c0,c1,target\n" + "".join(
+        f"{(7 * k % 11) / 11!r},{(5 * k % 13) / 13!r},{(3 * k % 7) / 7 - 0.5!r}\n"
+        for k in range(40)))
+    reports, profiles = {}, {}
+    for backend in ("naive", "indexed"):
+        rfile, dump = tmp_path / f"{backend}.json", tmp_path / f"{backend}.csv"
+        assert run(["estimate", "--in", str(pfile), "--gauge", "regression:L=1", "--tau", "2",
+                    "--t", "0.2", "--backend", backend, "--out", str(rfile),
+                    "--dump-profile", str(dump)]) == 0
+        reports[backend] = load_json(rfile)
+        profiles[backend] = dump.read_bytes()
+        del reports[backend]["generated_at"]
+    assert reports["indexed"].pop("backend") == "indexed"
+    assert reports["naive"].pop("backend") == "naive"
+    assert reports["indexed"] == reports["naive"]
+    assert reports["naive"]["distance_evaluations"] == 38 * 39 // 2
+    assert profiles["indexed"] == profiles["naive"]
+
+
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(gaugebounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -432,6 +454,10 @@ class TestNonFiniteValues:
          "g_value must be finite and nonnegative, got inf"),
         (["--kind", "excess-loss", "--gt", "0.1", "--t", "nan"],
          "t must be finite and positive, got nan"),
+        (["--kind", "risk", "--g", "0.1", "--sup-f", "nan"],
+         "sup_f must be nonnegative (+inf allowed), got nan"),
+        (["--kind", "risk-exceptions", "--g", "0.1", "--alpha", "nan"],
+         "alpha must lie in [0, 1), got nan"),
     ])
     def test_bound_inputs(self, capsys, tmp_path, args, message):
         out = tmp_path / "b.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gaugebounds import (
-    BackendMismatchError,
     ExceptionSet,
     GaugeSpec,
     PrefixNNBackend,
@@ -111,13 +110,33 @@ class TestBackendEquivalence:
             b = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend.metric_indexed())
             assert np.array_equal(a.mins, b.mins), (gauge.kind, n, d, scale)
 
-    def test_regression_gauge_refuses_index(self):
-        path = SamplePath.from_paired([[0.0], [1.0], [2.0]], [0.0, 0.5, 1.0])
-        gauge = GaugeSpec.regression(1.0)
-        naive = prefix_min_indexed(path, gauge, 1, backend=PrefixNNBackend.naive())
-        assert naive.mins[0] == pytest.approx(1.5)
-        with pytest.raises(BackendMismatchError):
-            prefix_min_indexed(path, gauge, 1, backend=PrefixNNBackend.metric_indexed())
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_regression_gauge_on_the_index(self, dim):
+        # the product metric takes the naive kernel on the indexed backend:
+        # the same minima bit for bit, and the naive counts
+        tiny = SamplePath.from_paired([[0.0], [1.0], [2.0]], [0.0, 0.5, 1.0])
+        for backend in (PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()):
+            mins = prefix_min_indexed(tiny, GaugeSpec.regression(1.0), 1, backend=backend).mins
+            assert mins[0] == pytest.approx(1.5)
+        rng = np.random.default_rng(21 + dim)
+        n, tau = 60, 2
+        path = SamplePath.from_paired(rng.random((n, dim)), rng.standard_normal(n))
+        gauge = GaugeSpec.regression(1.5)
+        exc = ExceptionSet(indices=(3, 8, 40), n_eff=n - tau)
+        runs = (lambda b: prefix_min_indexed(path, gauge, tau, None, b).mins,
+                lambda b: prefix_min_indexed(path, gauge, tau, exc, b).mins,
+                lambda b: leave_one_out_min(path, gauge, b))
+        for run in runs:
+            naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
+            a, b = run(naive), run(indexed)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert (indexed.distance_evaluations, indexed.screened_pairs) == \
+                (naive.distance_evaluations, 0)
+
+    def test_backend_kinds(self):
+        assert PrefixNNBackend.metric_indexed().kind == "indexed"
+        with pytest.raises(ValueError, match="'naive' or 'indexed', got 'metric-indexed'"):
+            PrefixNNBackend("metric-indexed")
 
 
 class TestLeaveOneOut:
