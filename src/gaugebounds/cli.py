@@ -339,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--t", type=float, default=None, help="threshold for G_t and Good-Turing")
     est.add_argument("--exclude", default="", help="comma list of excluded 0-based positions")
     est.add_argument("--backend", choices=("naive", "indexed"), default="naive")
-    est.add_argument("--threads", type=int, default=1)
+    est.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: estimate runs in one thread")
     est.add_argument("--out", default=None, help="report JSON (stdout when omitted)")
     est.add_argument("--dump-profile", default=None, help="write the full profile as CSV")
     est.set_defaults(func=_cmd_estimate)

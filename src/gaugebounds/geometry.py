@@ -357,8 +357,30 @@ class FunctionSample:
 # _euclid_block is the same kernel for a block of queries: per pair it does
 # the same element operations (candidate minus query, square, a sum over the
 # contiguous last axis of length D, square root), so each of its values is
-# _euclid_row's bit for bit, whatever the tile shape.  Tiles hold at most
-# _TILE coordinates and reuse one buffer through out= arguments.
+# _euclid_row's bit for bit, whatever the tile shape.  At D >= 2, tiles hold
+# at most _TILE coordinates and reuse one buffer through out= arguments.  At
+# D = 1 there is no reduction axis and no tile buffer: a sum of one term is
+# that term, so the differences are squared and rooted in the output itself.
+#
+# Allocation rule of the naive scan.  gauge_block makes one block-sized
+# float64 array per call, and everything after it writes into that array in
+# place: the distance_transform (through its out= argument), the hinge mask
+# and the regression |dy|.  Beside the block live at most the D >= 2 tile
+# buffer, bool masks (an eighth of the block's bytes) and scratch slices of
+# at most _SCRATCH values (_scratch_slices) for the two steps that need a
+# second value per pair.  Every operation and its order are unchanged, so
+# the values are too.  Why: glibc serves an array at or above its mmap
+# threshold (128 KiB by default, raised as large blocks are freed) with
+# fresh pages that fault in one by one, and gives large freed blocks back to
+# the system.  An n = 256, D = 1 prefix profile used to hold three 520 KB
+# arrays at once (kernel output, tile buffer, transform result).  Counted
+# with getrusage over repeated calls in one process, that took 222 minor
+# faults a call (0.4 in a process with another allocation history, 384
+# with the thresholds pinned at 128 KiB).  It now takes none in all three:
+# one 64-row block (_BAND_ROWS) of that profile is 127.5 KiB, below the
+# default threshold.  No buffer is kept between calls,
+# module-level or cached: concurrent callers, such as validate's trial
+# threads, would share it.
 #
 # At D = 1 the minimum over a point set needs only the two sorted neighbours
 # of the query: for a fixed q, fl(x - q) is nondecreasing in x (rounding is
@@ -370,6 +392,7 @@ class FunctionSample:
 # ---------------------------------------------------------------------------
 
 _TILE = 1 << 18          # float64 entries per kernel or screen buffer (2 MB)
+_SCRATCH = 1 << 13       # float64 entries per scratch slice beside a block (64 KB)
 
 
 def _euclid_row(block: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -390,11 +413,29 @@ def _tiles(m: int, c: int, rows: int, cols: int):
             yield slice(r0, min(m, r0 + rows)), slice(c0, min(c, c0 + cols))
 
 
+def _scratch_slices(a: np.ndarray):
+    """(rows, scratch) pairs covering a's leading axis: a[rows] and the
+    scratch array of the same shape hold at most _SCRATCH values (one row,
+    when a row has more), and every pair shares one buffer."""
+    width = math.prod(a.shape[1:])
+    step = max(1, _SCRATCH // max(1, width))
+    buf = np.empty(min(len(a), step) * width)
+    for r0 in range(0, len(a), step):
+        rows = slice(r0, min(len(a), r0 + step))
+        shape = (rows.stop - r0,) + a.shape[1:]
+        yield rows, buf[: math.prod(shape)].reshape(shape)
+
+
 def _euclid_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """out[r, i] = _euclid_row(block, queries[r])[i], bit for bit."""
+    """out[r, i] = _euclid_row(block, queries[r])[i], bit for bit, as a new
+    (len(queries), len(block)) array."""
     m, dim = queries.shape
     c = block.shape[0]
     out = np.empty((m, c))
+    if dim == 1:
+        np.subtract(block[:, 0], queries, out=out)
+        np.multiply(out, out, out=out)
+        return np.sqrt(out, out=out)
     rows, cols = _tile_shape(m, c, dim)
     buf = np.empty(rows * cols * dim)
     for rs, cs in _tiles(m, c, rows, cols):
@@ -407,14 +448,14 @@ def _euclid_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """out[r, i] = 1.0 where block[i] differs from queries[r], else 0.0."""
-    if block.ndim == 1:
-        return (block[None, :] != queries[:, None]).astype(np.float64)
-    m, dim = queries.shape
-    c = block.shape[0]
+    """out[r, i] = 1.0 where block[i] differs from queries[r], else 0.0, as a
+    new (len(queries), len(block)) array."""
+    m, c = len(queries), len(block)
     out = np.empty((m, c))
-    for rs, cs in _tiles(m, c, *_tile_shape(m, c, dim)):
-        out[rs, cs] = (block[None, cs] != queries[rs, None]).any(axis=2)
+    if block.ndim == 1:
+        return np.not_equal(block, queries[:, None], out=out, casting="unsafe")
+    for rs, cs in _tiles(m, c, *_tile_shape(m, c, queries.shape[1])):
+        np.any(block[None, cs] != queries[rs, None], axis=2, out=out[rs, cs])
     return out
 
 
@@ -759,34 +800,52 @@ def base_metric_kind(gauge: GaugeSpec) -> str | None:
     return "euclidean"
 
 
-def distance_transform(gauge: GaugeSpec) -> Callable[[np.ndarray], np.ndarray]:
+def distance_transform(gauge: GaugeSpec) -> Callable[..., np.ndarray]:
     """Nondecreasing map from base-metric distance to gauge value.
 
     The same callable is applied elementwise by the naive scan and once, after
     the metric minimum, by the metric index; monotonicity makes the two
-    orderings agree exactly, including in floating point.
+    orderings agree exactly, including in floating point.  Like a ufunc it
+    takes an optional out= array of d's shape, d itself included, which the
+    naive scan uses to transform its block in place.
     """
     kind = gauge.kind
     if kind in ("lipschitz", "hinge", "regression"):
         L = gauge.L
-        return lambda d: L * d
+        return lambda d, out=None: np.multiply(L, d, out=out)
     if kind == "discrete":
-        return lambda d: d
+        return lambda d, out=None: np.positive(d, out=out)   # the identity
     if kind == "smooth":
         scale = (1.0 + gauge.lam) * (gauge.gamma / 2.0)
-        return lambda d: scale * (d * d)
+
+        def smooth(d, out=None):
+            dd = np.multiply(d, d, out=out)
+            return np.multiply(scale, dd, out=dd)
+
+        return smooth
     if kind == "local_lipschitz":
         r0 = gauge.r0
-        return lambda d: np.where(d <= r0, d, np.inf)
+
+        def local_lipschitz(d, out=None):
+            outside = ~(d <= r0)
+            out = np.positive(d, out=out)
+            np.copyto(out, np.inf, where=outside)
+            return out
+
+        return local_lipschitz
     if kind == "local_smooth":
         c = gauge.c
 
-        def local_smooth(d):
+        def local_smooth(d, out=None):
             # explicit multiplies: numpy's ** takes a different code path for
             # scalars than for arrays and can differ in the last ulp
-            dd = d * d
-            rho = c * (1.0 + dd)
-            return 0.5 * (rho * rho) * dd
+            dd = np.multiply(d, d, out=out)
+            for rows, rho in _scratch_slices(dd):
+                np.multiply(c, np.add(1.0, dd[rows], out=rho), out=rho)
+                np.multiply(rho, rho, out=rho)
+                np.multiply(0.5, rho, out=rho)
+                np.multiply(rho, dd[rows], out=dd[rows])
+            return dd
 
         return local_smooth
     raise ValueError(f"unknown gauge kind {kind!r}")
@@ -817,27 +876,31 @@ def _as_index(idx):
 
 def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray:
     """Gauge values g(X[q], X[i]) for q in queries (rows) and i in cand
-    (columns), as a (len(queries), len(cand)) float64 array.
+    (columns), as a new (len(queries), len(cand)) float64 array.
 
     queries and cand are index arrays or slices; slices index by view, which
     matters for the quadratic scans.  Every value equals the one-query
     kernel's bit for bit, so blocking changes only how rows are grouped.
     This is the one place that gates hinge pairs by label and adds
-    regression targets.
+    regression targets, both in place (the allocation rule above
+    _euclid_row).
     """
     check_gauge_path(gauge, path)
     queries, cand = _as_index(queries), _as_index(cand)
-    transform = distance_transform(gauge)
     if path.kind == "symbol":
-        return transform(_neq_block(path.symbols[cand], path.symbols[queries]))
-    if base_metric_kind(gauge) == "discrete":
-        return transform(_neq_block(path.coords[cand], path.coords[queries]))
-    vals = transform(_euclid_block(path.coords[cand], path.coords[queries]))
+        vals = _neq_block(path.symbols[cand], path.symbols[queries])
+    elif base_metric_kind(gauge) == "discrete":
+        vals = _neq_block(path.coords[cand], path.coords[queries])
+    else:
+        vals = _euclid_block(path.coords[cand], path.coords[queries])
+    distance_transform(gauge)(vals, out=vals)
     if gauge.kind == "hinge":
-        same = path.labels[queries][:, None] == path.labels[cand][None, :]
-        return np.where(same, vals, np.inf)
-    if gauge.kind == "regression":
-        return vals + np.abs(path.targets[cand][None, :] - path.targets[queries][:, None])
+        np.copyto(vals, np.inf, where=path.labels[queries][:, None] != path.labels[cand])
+    elif gauge.kind == "regression":
+        targets, own = path.targets[cand], path.targets[queries]
+        for rows, dy in _scratch_slices(vals):
+            np.subtract(targets, own[rows, None], out=dy)
+            vals[rows] += np.abs(dy, out=dy)
     return vals
 
 
@@ -876,6 +939,18 @@ def _candidates(queries: np.ndarray, limits: np.ndarray, keep: np.ndarray | None
     return cand, upto, own
 
 
+# Rows per _naive_mins block where the limits differ.  Ascending limits (the
+# prefix profile) leave a block of r rows a band of about r columns for the
+# limit mask, so a block costs a fixed overhead, its pairs and about r^2
+# masked entries: the best r balances overhead against band, whatever n is.
+# Prefix profiles at D = 1, n = 64 .. 4096, on a 2-vCPU VM: 64 rows was
+# the fastest of 16, 32, 64, 128 and full-size blocks, or within 9% of it;
+# at n = 256 a call took 130 us, against 174 us with full-size blocks.
+# Equal limits (leave-one-out, the truth) have no band and keep full-size
+# blocks.
+_BAND_ROWS = 64
+
+
 def _naive_mins(
     gauge: GaugeSpec,
     path: SamplePath,
@@ -886,12 +961,15 @@ def _naive_mins(
 ) -> tuple[np.ndarray, int]:
     """Gauge minima straight from gauge_block, the oracle every kernel must
     match, and the definitional pair count.  Rows are blocked to about
-    _TILE candidate values at a time."""
+    _TILE candidate values at a time, and to _BAND_ROWS where the limits
+    differ."""
     cand, upto, own = _candidates(queries, limits, keep, skip_self)
     prefix = cand.size == 0 or cand[-1] == cand.size - 1
     m = queries.size
     mins = np.empty(m)
     rows = max(1, _TILE // max(1, cand.size))
+    if upto.min() < upto.max():
+        rows = min(rows, _BAND_ROWS)
     for r0 in range(0, m, rows):
         r = slice(r0, min(m, r0 + rows))
         lo, hi = int(upto[r].min()), int(upto[r].max())
@@ -900,8 +978,7 @@ def _naive_mins(
         vals = gauge_block(gauge, path, queries[r], slice(0, hi) if prefix else cand[:hi])
         # the first lo candidates are admissible for every row of the block,
         # the rest only for the rows whose limit lies past them
-        tail = vals[:, lo:]
-        tail[np.arange(lo, hi)[None, :] >= upto[r, None]] = np.inf
+        np.copyto(vals[:, lo:], np.inf, where=np.arange(lo, hi) >= upto[r, None])
         if skip_self:
             hit = np.flatnonzero(own[r] >= 0)
             vals[hit, own[r][hit]] = np.inf

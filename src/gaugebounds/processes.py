@@ -126,11 +126,8 @@ class ProcessSpec:
         return {"cycle": 0, "circle": 1, "torus": 2}[kind]
 
 
-def _streams(seed: int):
-    root = np.random.SeedSequence(seed)
-    start_ss, reset_ss, redraw_ss = root.spawn(3)
-    make = lambda ss: np.random.Generator(np.random.Philox(ss))
-    return make(start_ss), make(reset_ss), make(redraw_ss)
+def _philox(ss: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def _draw_uniform(spec: ProcessSpec, gen: np.random.Generator, m: int):
@@ -148,10 +145,12 @@ def simulate_with_details(
     """Simulate and also return the reset positions (for coupling tests)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    start_gen, reset_gen, redraw_gen = _streams(spec.seed)
+    # the start, reset and redraw streams; a generator is built only for a
+    # stream the path draws from (iid paths use the redraw stream alone)
+    start_ss, reset_ss, redraw_ss = np.random.SeedSequence(spec.seed).spawn(3)
 
     if spec.kind == "iid":
-        draws = _draw_uniform(spec, redraw_gen, n)
+        draws = _draw_uniform(spec, _philox(redraw_ss), n)
         if spec.space == "cycle":
             path = SamplePath.from_symbols(draws)
         else:
@@ -159,14 +158,14 @@ def simulate_with_details(
         return path, np.arange(1, n, dtype=np.int64)
 
     if start is None:
-        start_val = _draw_uniform(spec, start_gen, 1)[0]
+        start_val = _draw_uniform(spec, _philox(start_ss), 1)[0]
     else:
         start_val = np.asarray(start)
     p = spec.reset_p
-    resets = reset_gen.random(n - 1) < p if n > 1 else np.zeros(0, dtype=bool)
+    resets = _philox(reset_ss).random(n - 1) < p if n > 1 else np.zeros(0, dtype=bool)
     reset_pos = np.flatnonzero(resets) + 1
     m = reset_pos.size
-    redraws = _draw_uniform(spec, redraw_gen, m)
+    redraws = _draw_uniform(spec, _philox(redraw_ss), m)
 
     marker = np.zeros(n, dtype=np.int64)
     marker[reset_pos] = reset_pos

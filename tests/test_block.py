@@ -1,6 +1,8 @@
 """Property tests: the row-blocked gauge kernel and the naive scans built on
 it return the per-row definition's values bit for bit, and the D = 1
-sorted-neighbour truth returns the brute-force minimum bit for bit.
+sorted-neighbour truth returns the brute-force minimum bit for bit.  Guards
+of the kernel's allocation rule (one new block-sized array per call, written
+in place) follow the property tests.
 
 The reference below is the per-row gauge definition written out in full:
 one query against an index array, through the row kernel _euclid_row.  The
@@ -10,6 +12,7 @@ multi-tile and one-pair-per-tile code that default sizes reach only on long
 paths.
 """
 
+import tracemalloc
 from contextlib import ExitStack
 from unittest import mock
 
@@ -20,7 +23,12 @@ from hypothesis import strategies as st
 
 from gaugebounds import ExceptionSet, GaugeSpec, PrefixNNBackend, SamplePath, prefix_min_indexed
 from gaugebounds import geometry
-from gaugebounds.estimators import _min_gauge_to_path, leave_one_out_mins, naive_prefix_mins
+from gaugebounds.estimators import (
+    _min_gauge_to_path,
+    leave_one_out_mins,
+    naive_prefix_mins,
+    prefix_min_profile,
+)
 from gaugebounds.geometry import (
     _euclid_row,
     base_metric_kind,
@@ -162,6 +170,68 @@ def test_leave_one_out_matches_row_loop(coords, case, seed, tile):
     with _tiled(tile):
         loo = leave_one_out_mins(path, gauge)
     assert np.array_equal(_bits(loo), _bits(expected))
+
+
+# ---------------------------------------------------------------------------
+# allocation rule: one new block per call, everything else in place
+# ---------------------------------------------------------------------------
+
+def _path_arrays(path):
+    return [a for a in (path.coords, path.symbols, path.labels, path.targets) if a is not None]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_gauge_block_returns_a_fresh_array(case, dim):
+    gauge, variant = CASES[case]
+    rng = np.random.default_rng(5)
+    path = _path(np.round(rng.standard_normal((40, dim)), 1), variant, rng)
+    before = [a.copy() for a in _path_arrays(path)]
+    for queries, cand in ((slice(0, 40), slice(0, 40)), (slice(3, 9), slice(10, 40)),
+                          (np.arange(40)[::-3], np.arange(5, 30))):
+        block = gauge_block(gauge, path, queries, cand)
+        assert block.dtype == np.float64 and block.flags.writeable
+        for a in _path_arrays(path):
+            assert not np.shares_memory(block, a)
+    for a, b in zip(_path_arrays(path), before):
+        assert not a.flags.writeable
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_gauge_block_without_queries_or_candidates_at_d1(case):
+    gauge, variant = CASES[case]
+    path = _path(np.arange(6.0).reshape(6, 1), variant, np.random.default_rng(0))
+    none = np.array([], dtype=np.intp)
+    for queries, cand, shape in ((none, slice(0, 6), (0, 6)), (slice(0, 6), none, (6, 0)),
+                                 (slice(2, 2), slice(4, 4), (0, 0)), ([3], slice(5, 5), (1, 0))):
+        assert gauge_block(gauge, path, queries, cand).shape == shape
+
+
+@pytest.mark.parametrize("scan", ["prefix", "leave-one-out"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_naive_scan_holds_one_block_at_a_time(case, scan):
+    # tracemalloc sees numpy's data buffers, so the peak is a count of bytes,
+    # not a timing.  The bound is 1.5 of the scan's largest block: (n - 1)^2
+    # values for the prefix profile, n^2 for leave-one-out, whose equal
+    # limits keep full-size blocks.  Holding the kernel output, a tile
+    # buffer and a transform result at once measures 2.3 blocks.
+    gauge, variant = CASES[case]
+    n = 256
+    path = _path(np.random.default_rng(2).random((n, 1)), variant, np.random.default_rng(3))
+    if scan == "prefix":
+        run, block = (lambda: prefix_min_profile(path, gauge, 1)), (n - 1) ** 2 * 8
+    else:
+        run, block = (lambda: leave_one_out_mins(path, gauge)), n * n * 8
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block
 
 
 # ---------------------------------------------------------------------------

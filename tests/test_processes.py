@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import re
@@ -68,6 +69,37 @@ class TestSimulate:
         first = ra[0]
         assert np.array_equal(pa.coords[first:], pb.coords[first:])
         assert not np.allclose(pa.coords[:first], pb.coords[:first])
+
+    # leading 16 hex digits of sha256(path values + reset positions), n = 50,
+    # little-endian float64 / int64 bytes, pinned from the release that built
+    # all three Philox streams for every path
+    STREAM_DIGESTS = {
+        ("iid-circle", 0): "96d9b8def854c29f", ("iid-circle", 1): "653ac222706cce4c",
+        ("iid-circle", 2023): "4ad8d16d8d4bedfb", ("iid-torus", 0): "1c52d6d9cfda3eae",
+        ("iid-torus", 1): "b7489aa5ba6074ba", ("iid-torus", 2023): "cd08731a98b46a22",
+        ("iid-cycle", 0): "0a12b7c8a5ad5d9b", ("iid-cycle", 1): "083578f52e76c1c2",
+        ("iid-cycle", 2023): "48f1ac0ac2e8d3c1", ("circle-chain", 0): "4ffa356d8da75bb2",
+        ("circle-chain", 1): "47e1b3f44045873c", ("circle-chain", 2023): "7c3b744ef8b44bcc",
+        ("torus-chain", 0): "bbb9afd5c4e1d48a", ("torus-chain", 1): "c7a70083be48954b",
+        ("torus-chain", 2023): "641a824a9347170d", ("cycle-chain", 0): "06800960119058a2",
+        ("cycle-chain", 1): "0674b14f1368b1bd", ("cycle-chain", 2023): "13516b57ecee379d",
+    }
+    STREAM_SPECS = {
+        "iid-circle": ProcessSpec.iid_uniform("circle"),
+        "iid-torus": ProcessSpec.iid_uniform("torus"),
+        "iid-cycle": ProcessSpec.iid_uniform("cycle", n_states=7),
+        "circle-chain": ProcessSpec.circle_rotation(p=0.3),
+        "torus-chain": ProcessSpec.torus_rotation(p=0.3),
+        "cycle-chain": ProcessSpec.cycle_chain(9, 0.3),
+    }
+
+    @pytest.mark.parametrize("name,seed", sorted(STREAM_DIGESTS))
+    def test_streams_are_pinned(self, name, seed):
+        # building only the generators a path draws from must not move any draw
+        path, resets = simulate_with_details(self.STREAM_SPECS[name].with_seed(seed), 50)
+        values = path.symbols if path.kind == "symbol" else path.coords
+        digest = hashlib.sha256(values.tobytes() + resets.tobytes()).hexdigest()[:16]
+        assert digest == self.STREAM_DIGESTS[name, seed]
 
     def test_iid_torus_coordinates_uniform(self):
         # pooled one-sample KS per coordinate over 20 seeds; the fixed seed
