@@ -1,10 +1,11 @@
 """Data-dependent generalization bounds for stationary mixing processes.
 
-The pieces, in dependency order: geometry (points, gauges, covers),
-estimators (prefix gap profiles, missing-mass estimates), nnindex
-(accelerated exact backends), bounds (closed-form reports), processes
-(seeded chain simulators and embeddings), verify (Monte Carlo validation),
-cli (the command-line surface).
+The pieces, in dependency order: geometry (points, gauges, covers, the
+exact minimum kernels), estimators (prefix gap profiles and missing-mass
+estimates on the naive or indexed backend), bounds (closed-form reports),
+processes (seeded chain simulators and embeddings), verify (Monte Carlo
+validation), cli (the command-line surface).  nnindex only re-exports the
+backend names of estimators for the benchmark's tracer.
 """
 
 from .bounds import (
@@ -25,11 +26,13 @@ from .estimators import (
     InfiniteGaugeError,
     MissingMassEstimate,
     PrefixGaugeProfile,
+    PrefixNNBackend,
     SamplerOracle,
     good_turing,
-    leave_one_out_mins,
+    leave_one_out_min,
     missing_mass_G,
     missing_mass_Gt,
+    prefix_min_indexed,
     prefix_min_profile,
     true_missing_mass,
 )
@@ -45,11 +48,7 @@ from .geometry import (
     greedy_cover,
     pairwise_gauge,
 )
-from .nnindex import (
-    PrefixNNBackend,
-    leave_one_out_min,
-    prefix_min_indexed,
-)
+from . import nnindex  # noqa: F401  the tracer's lookup module, see its docstring
 from .pathio import read_path, write_path
 from .processes import (
     ZETA_GOLDEN,

@@ -32,11 +32,13 @@ from .bounds import (
 from .estimators import (
     ExceptionSet,
     InfiniteGaugeError,
+    PrefixNNBackend,
+    leave_one_out_min,
     missing_mass_G,
     missing_mass_Gt,
+    prefix_min_indexed,
 )
 from .geometry import GaugeSpec
-from .nnindex import PrefixNNBackend, leave_one_out_min, prefix_min_indexed
 from .processes import EmbeddingSpec, ProcessSpec, embed, mixing_bounds, simulate
 from .verify import (
     IidBernoulli,
@@ -287,7 +289,6 @@ def _cmd_study(args) -> int:
     rows = decay_study(
         proc, emb, gauge, tau=args.tau, sizes=sizes, p_list=p_list,
         n_seeds=args.n_seeds, seed=args.seed, backend=args.backend,
-        threads=args.threads,
     )
     out = FsPath(args.out)
     with out.open("w", newline="") as fh:
@@ -394,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stu.add_argument("--n-seeds", type=int, default=10)
     stu.add_argument("--seed", type=int, default=0)
     stu.add_argument("--backend", choices=("naive", "indexed"), default="indexed")
-    stu.add_argument("--threads", type=int, default=1)
+    stu.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: study runs in one thread")
     stu.add_argument("--out", required=True, help="wide table CSV")
     stu.add_argument("--long-out", default=None, help="plot-ready long CSV")
     stu.set_defaults(func=_cmd_study)

@@ -22,14 +22,16 @@ Each of these minima is stated once as the admissible-minimum problem
 (queries, limits, keep, skip_self) of geometry.  Profile entry j queries row
 tau + j with limit j + 1 and keeps the rows outside B; leave-one-out queries
 every row with limit n under skip_self; the ground truth appends the fresh
-draws to the path and queries them with limit n.  geometry._naive_mins
-answers the prefix and leave-one-out oracles here, the truth takes
-geometry.admissible_mins on the indexed kind, and nnindex hands the prefix
-and leave-one-out problems to admissible_mins on its backend's kind.
+draws to the path and queries them with limit n.  geometry.admissible_mins
+answers every problem: the prefix and leave-one-out ones on a backend's
+kind ("naive" when no backend is passed), the truth on the indexed kind.
+Both kinds give the same minima bit for bit; a passed backend receives the
+pair counts of its last run.
 
 Summation order is fixed (ascending position, plain left-to-right), so
-results are bit-reproducible.  All functions are pure; profiles are
-immutable and safe to share across threads.
+results are bit-reproducible.  Apart from the counts a passed backend
+receives, all functions are pure; profiles are immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    GaugeSpec,
-    SamplePath,
-    _naive_mins,
-    admissible_mins,
-    check_gauge_path,
-)
+from .geometry import GaugeSpec, SamplePath, admissible_mins, check_gauge_path
 
 __all__ = [
     "ExceptionSet",
@@ -56,11 +52,13 @@ __all__ = [
     "FiniteSupport",
     "SamplerOracle",
     "MissingMassEstimate",
+    "PrefixNNBackend",
     "prefix_min_profile",
+    "prefix_min_indexed",
     "missing_mass_G",
     "missing_mass_Gt",
+    "leave_one_out_min",
     "good_turing",
-    "leave_one_out_mins",
     "true_missing_mass",
 ]
 
@@ -176,14 +174,62 @@ def _prefix_problem(
     return tau + np.arange(n_eff), np.arange(1, n_eff + 1), keep
 
 
-def naive_prefix_mins(
+@dataclass
+class PrefixNNBackend:
+    """Backend kind, "naive" or "indexed", plus the telemetry of the last
+    run: pair evaluations of any kind, and the screened share of them.  Not
+    thread-shareable while a computation is in flight."""
+
+    kind: str
+    distance_evaluations: int = 0
+    screened_pairs: int = 0
+
+    @classmethod
+    def naive(cls) -> "PrefixNNBackend":
+        return cls(kind="naive")
+
+    @classmethod
+    def metric_indexed(cls) -> "PrefixNNBackend":
+        return cls(kind="indexed")
+
+    def __post_init__(self):
+        if self.kind not in ("naive", "indexed"):
+            raise ValueError(f"backend kind must be 'naive' or 'indexed', got {self.kind!r}")
+
+
+def _mins(
+    path: SamplePath,
+    gauge: GaugeSpec,
+    backend: PrefixNNBackend | None,
+    queries: np.ndarray,
+    limits: np.ndarray,
+    keep: np.ndarray | None,
+    skip_self: bool = False,
+) -> np.ndarray:
+    """Minima of one problem on the backend's kind, naive without one; a
+    passed backend receives the run's counts."""
+    mins, evaluations, screened = admissible_mins(
+        gauge, path, "naive" if backend is None else backend.kind,
+        queries, limits, keep, skip_self)
+    if backend is not None:
+        backend.distance_evaluations, backend.screened_pairs = evaluations, screened
+    return mins
+
+
+# The public functions below are one line over a private body and never call
+# each other: a benchmark tracer that wraps them by name would otherwise time
+# one inside the other.
+
+def _profile(
     path: SamplePath,
     gauge: GaugeSpec,
     tau: int,
-    exceptions: ExceptionSet | None = None,
-) -> np.ndarray:
-    """Definitional quadratic scan; the oracle every backend must match."""
-    return _naive_mins(gauge, path, *_prefix_problem(path, gauge, tau, exceptions))[0]
+    exceptions: ExceptionSet | None,
+    backend: PrefixNNBackend | None,
+) -> PrefixGaugeProfile:
+    mins = _mins(path, gauge, backend, *_prefix_problem(path, gauge, tau, exceptions))
+    exc = () if exceptions is None else exceptions.indices
+    return PrefixGaugeProfile(n=len(path), tau=tau, exceptions=exc, mins=mins)
 
 
 def prefix_min_profile(
@@ -192,10 +238,20 @@ def prefix_min_profile(
     tau: int,
     exceptions: ExceptionSet | None = None,
 ) -> PrefixGaugeProfile:
-    """Exact admissible-prefix minima, straight from the definition."""
-    mins = naive_prefix_mins(path, gauge, tau, exceptions)
-    exc = () if exceptions is None else exceptions.indices
-    return PrefixGaugeProfile(n=len(path), tau=tau, exceptions=exc, mins=mins)
+    """Exact admissible-prefix minima, straight from the definition: the
+    oracle every backend must match."""
+    return _profile(path, gauge, tau, exceptions, None)
+
+
+def prefix_min_indexed(
+    path: SamplePath,
+    gauge: GaugeSpec,
+    tau: int,
+    exceptions: ExceptionSet | None = None,
+    backend: PrefixNNBackend | None = None,
+) -> PrefixGaugeProfile:
+    """Prefix minima through the chosen backend; identical output either way."""
+    return _profile(path, gauge, tau, exceptions, backend)
 
 
 def _ordered_mean(values: np.ndarray) -> float:
@@ -230,9 +286,17 @@ def _loo_problem(path: SamplePath, gauge: GaugeSpec) -> tuple[np.ndarray, np.nda
     return np.arange(n), np.full(n, n), None
 
 
-def leave_one_out_mins(path: SamplePath, gauge: GaugeSpec) -> np.ndarray:
-    """min over i != k of g(X_k, X_i), for every k; the quadratic reference."""
-    return _naive_mins(gauge, path, *_loo_problem(path, gauge), skip_self=True)[0]
+def _loo_mins(path: SamplePath, gauge: GaugeSpec, backend: PrefixNNBackend | None) -> np.ndarray:
+    return _mins(path, gauge, backend, *_loo_problem(path, gauge), skip_self=True)
+
+
+def leave_one_out_min(
+    path: SamplePath,
+    gauge: GaugeSpec,
+    backend: PrefixNNBackend | None = None,
+) -> np.ndarray:
+    """min over i != k of g(X_k, X_i) for every k, backend-agnostic values."""
+    return _loo_mins(path, gauge, backend)
 
 
 def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
@@ -245,7 +309,7 @@ def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
     if gauge.kind not in ("lipschitz", "discrete"):
         raise ValueError("good_turing needs a metric-type gauge (lipschitz or discrete)")
-    loo = leave_one_out_mins(path, gauge)
+    loo = _loo_mins(path, gauge, None)
     return float(np.count_nonzero(loo > threshold)) / loo.size
 
 

@@ -218,16 +218,6 @@ class SamplePath:
             targets=None if self.targets is None else self.targets[:n].copy(),
         )
 
-    def reversed(self) -> "SamplePath":
-        if self.kind == "symbol":
-            return SamplePath(kind="symbol", symbols=self.symbols[::-1].copy())
-        return SamplePath(
-            kind=self.kind,
-            coords=self.coords[::-1].copy(),
-            labels=None if self.labels is None else self.labels[::-1].copy(),
-            targets=None if self.targets is None else self.targets[::-1].copy(),
-        )
-
 
 def _check_parameters(**values: float) -> None:
     for name, value in values.items():

@@ -172,26 +172,19 @@ def simulate_with_details(
     anchor = np.maximum.accumulate(marker)
     steps = np.arange(n, dtype=np.int64) - anchor
 
+    # one reset chain: each step adds inc to the last (re)drawn value, mod period
     if spec.kind == "cycle":
-        base = np.zeros(n, dtype=np.int64)
-        base[0] = int(start_val)
-        base[reset_pos] = redraws
-        values = (base[anchor] + steps) % spec.n_states
-        return SamplePath.from_symbols(values), reset_pos
-
-    if spec.kind == "circle":
-        base = np.zeros(n, dtype=np.float64)
-        base[0] = float(start_val)
-        base[reset_pos] = redraws
-        values = (base[anchor] + steps * spec.zeta) % 1.0
-        return SamplePath.from_coords(values.reshape(n, 1)), reset_pos
-
-    base = np.zeros((n, 2), dtype=np.float64)
-    base[0] = np.asarray(start_val, dtype=np.float64).reshape(2)
-    if m:
-        base[reset_pos] = redraws
-    zeta = np.array([spec.zeta1, spec.zeta2])
-    values = (base[anchor] + steps[:, None] * zeta) % 1.0
+        inc, period = np.array([1]), spec.n_states
+    elif spec.kind == "circle":
+        inc, period = np.array([spec.zeta]), 1.0
+    else:
+        inc, period = np.array([spec.zeta1, spec.zeta2]), 1.0
+    base = np.zeros((n, inc.size), dtype=inc.dtype)
+    base[0] = np.asarray(start_val).reshape(inc.size)
+    base[reset_pos] = redraws.reshape(m, inc.size)
+    values = (base[anchor] + steps[:, None] * inc) % period
+    if spec.kind == "cycle":
+        return SamplePath.from_symbols(values[:, 0]), reset_pos
     return SamplePath.from_coords(values), reset_pos
 
 

@@ -24,12 +24,14 @@ import numpy as np
 from .bounds import MixingProfile, excess_loss_probability_bound
 from .estimators import (
     FiniteSupport,
+    PrefixNNBackend,
+    _ordered_mean,
     missing_mass_Gt,
+    prefix_min_indexed,
     prefix_min_profile,
     true_missing_mass,
 )
 from .geometry import GaugeSpec
-from .nnindex import PrefixNNBackend, prefix_min_indexed
 from .processes import EmbeddingSpec, ProcessSpec, embed, mixing_bounds, mixing_time, simulate, stationary_oracle
 
 __all__ = [
@@ -213,15 +215,14 @@ def _check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _check_distinct(name: str, values: list) -> None:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} repeats {repeated}; each entry must appear once")
+
+
 def _trial_seeds(seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
-
-
-def _parallel(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,11 @@ def validate_excess_loss_coverage(
             slack = 3.0 * truth.std_error
         return truth.value - slack > rhs
 
-    flags = _parallel(one_trial, range(trials), threads)
+    if threads <= 1:
+        flags = [one_trial(i) for i in range(trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            flags = list(pool.map(one_trial, range(trials)))
     return _report(int(sum(flags)), trials, delta)
 
 
@@ -453,7 +458,6 @@ def decay_study(
     seed: int = 0,
     eps: float = 0.1,
     backend: str = "indexed",
-    threads: int = 1,
 ) -> list[DecayRow]:
     """Mean and spread of the gap estimator G across sample sizes and reset
     probabilities, with the mixing-time reference column tau_mix / n.
@@ -465,13 +469,15 @@ def decay_study(
     between-size simulation noise from the decay comparison.
 
     Sizes not exceeding tau are skipped with a notice: the estimator is
-    empty there.
+    empty there.  A size or reset probability given twice is an error, as
+    it would give two rows one (p, n) key.
     """
     _check_count("n_seeds", n_seeds)
     emb = emb or EmbeddingSpec.identity()
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    _check_distinct("sizes", sizes)
     usable = [s for s in sizes if s > tau]
     skipped = [s for s in sizes if s <= tau]
     if skipped:
@@ -483,32 +489,24 @@ def decay_study(
             raise ValueError("p_list applies to reset chains, not iid processes")
         variants = [(1.0, proc)]
     else:
-        ps = list(p_list) if p_list else [proc.reset_p]
-        variants = [(float(p), proc.with_reset_p(p)) for p in ps]
+        ps = [float(p) for p in p_list or [proc.reset_p]]
+        _check_distinct("p_list", ps)
+        variants = [(p, proc.with_reset_p(p)) for p in ps]
     PrefixNNBackend(backend)   # the one check of the backend name
     n_max = usable[-1]
-    seeds = _trial_seeds(seed, len(variants) * n_seeds)
+    seeds = iter(_trial_seeds(seed, len(variants) * n_seeds))
 
-    def one_run(job) -> tuple[int, np.ndarray]:
-        vi, si = job
-        spec = variants[vi][1].with_seed(int(seeds[vi * n_seeds + si]))
+    def one_run(spec: ProcessSpec) -> np.ndarray:
+        # the path dies with the call: a raster path outweighs its profile 256-fold
         path = embed(emb, simulate(spec, n_max))
-        profile = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend(backend))
-        return vi, profile.mins
-
-    jobs = [(vi, si) for vi in range(len(variants)) for si in range(n_seeds)]
-    results = _parallel(one_run, jobs, threads)
-
-    mins_by_variant: dict[int, list[np.ndarray]] = {}
-    for vi, mins in results:
-        mins_by_variant.setdefault(vi, []).append(mins)
+        return prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend(backend)).mins
 
     rows = []
-    for vi, (p, _) in enumerate(variants):
+    for p, variant in variants:
+        profiles = [one_run(variant.with_seed(int(next(seeds)))) for _ in range(n_seeds)]
         tau_mix = 1 if p >= 1.0 else mixing_time(p, eps)
         for s in usable:
-            gs = [sum(m[: s - tau].tolist()) / (s - tau) for m in mins_by_variant[vi]]
-            arr = np.asarray(gs)
+            arr = np.asarray([_ordered_mean(m[: s - tau]) for m in profiles])
             rows.append(DecayRow(
                 p=p,
                 n=s,

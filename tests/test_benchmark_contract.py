@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import gaugebounds
+import gaugebounds.estimators
+import gaugebounds.nnindex
 from gaugebounds.cli import main
 
 SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "shim.py"
@@ -34,6 +36,12 @@ def traced(tmp_path, *args):
         assert job == "j0" and end >= start
         spans.setdefault(name, []).append(attrs)
     return spans
+
+
+def test_nnindex_names_are_the_estimators_objects():
+    # the shim times the nnindex.* spans; they must wrap the real functions
+    for name in ("PrefixNNBackend", "prefix_min_indexed", "leave_one_out_min"):
+        assert getattr(gaugebounds.nnindex, name) is getattr(gaugebounds.estimators, name)
 
 
 def test_estimate_spans_carry_the_report_counter(tmp_path):

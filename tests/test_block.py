@@ -25,8 +25,7 @@ from gaugebounds import ExceptionSet, GaugeSpec, PrefixNNBackend, SamplePath, pr
 from gaugebounds import geometry
 from gaugebounds.estimators import (
     _min_gauge_to_path,
-    leave_one_out_mins,
-    naive_prefix_mins,
+    leave_one_out_min,
     prefix_min_profile,
 )
 from gaugebounds.geometry import (
@@ -150,7 +149,7 @@ def test_naive_prefix_matches_row_loop(coords, case, seed, tile, with_exceptions
         count += cand.size
     backend = PrefixNNBackend.naive()
     with _tiled(tile):
-        mins = naive_prefix_mins(path, gauge, tau, exc)
+        mins = prefix_min_profile(path, gauge, tau, exc).mins
         profile = prefix_min_indexed(path, gauge, tau, exc, backend)
     assert np.array_equal(_bits(mins), _bits(expected))
     assert np.array_equal(_bits(profile.mins), _bits(expected))
@@ -168,7 +167,7 @@ def test_leave_one_out_matches_row_loop(coords, case, seed, tile):
     expected = [_row_reference(gauge, path, k, np.delete(np.arange(n), k)).min()
                 for k in range(n)]
     with _tiled(tile):
-        loo = leave_one_out_mins(path, gauge)
+        loo = leave_one_out_min(path, gauge)
     assert np.array_equal(_bits(loo), _bits(expected))
 
 
@@ -222,7 +221,7 @@ def test_naive_scan_holds_one_block_at_a_time(case, scan):
     if scan == "prefix":
         run, block = (lambda: prefix_min_profile(path, gauge, 1)), (n - 1) ** 2 * 8
     else:
-        run, block = (lambda: leave_one_out_mins(path, gauge)), n * n * 8
+        run, block = (lambda: leave_one_out_min(path, gauge)), n * n * 8
     run()
     tracemalloc.start()
     try:

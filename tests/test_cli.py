@@ -272,6 +272,18 @@ class TestRejectedInputs:
                                      "--out", str(tmp_path / "t.csv")])
         assert err["type"] == "ValueError" and "n_seeds" in err["message"]
 
+    @pytest.mark.parametrize("flag, values, named", [
+        ("--sizes", "8,8,16", "sizes repeats [8]"),
+        ("--p-list", "0.5,0.25,0.5", "p_list repeats [0.5]"),
+    ])
+    def test_study_with_repeated_entries(self, capsys, tmp_path, flag, values, named):
+        args = {"--sizes": "8,16", "--p-list": "0.5", flag: values}
+        err = self.error_of(capsys, ["study", "--process", "circle:p=0.5", "--tau", "1",
+                                     "--n-seeds", "2", "--out", str(tmp_path / "t.csv"),
+                                     *(x for kv in args.items() for x in kv)])
+        assert err["type"] == "ValueError" and named in err["message"]
+        assert not (tmp_path / "t.csv").exists()
+
     def test_any_exception_becomes_the_json_error(self, capsys, monkeypatch):
         def broken(_args):
             raise ZeroDivisionError("division by zero")

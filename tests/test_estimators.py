@@ -15,7 +15,7 @@ from gaugebounds import (
     SamplePath,
     SamplerOracle,
     good_turing,
-    leave_one_out_mins,
+    leave_one_out_min,
     missing_mass_G,
     missing_mass_Gt,
     prefix_min_profile,
@@ -170,7 +170,7 @@ class TestGoodTuring:
             good_turing(line_path(0, 1), GaugeSpec.smooth(1.0, 1.0), 0.5)
 
     def test_leave_one_out_example(self):
-        loo = leave_one_out_mins(line_path(0, 0.1, 0.9), LIP)
+        loo = leave_one_out_min(line_path(0, 0.1, 0.9), LIP)
         assert np.allclose(loo, [0.1, 0.1, 0.8])
 
     @given(data=st.data())

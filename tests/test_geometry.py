@@ -260,10 +260,9 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             path.coords[0, 0] = 5.0
 
-    def test_head_and_reversed(self):
+    def test_head(self):
         path = SamplePath.from_coords([[0.0], [1.0], [2.0]])
         assert np.array_equal(path.head(2).coords.ravel(), [0.0, 1.0])
-        assert np.array_equal(path.reversed().coords.ravel(), [2.0, 1.0, 0.0])
 
     def test_point_round_trip(self):
         path = SamplePath.from_labeled([[0.5, 1.5]], [-1])

@@ -7,7 +7,6 @@ from gaugebounds import (
     PrefixNNBackend,
     SamplePath,
     leave_one_out_min,
-    leave_one_out_mins,
     prefix_min_indexed,
     prefix_min_profile,
 )
@@ -167,7 +166,7 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(77)
         path = SamplePath.from_coords(rng.random((30, 2)))
         gauge = GaugeSpec.lipschitz(1.0)
-        assert np.array_equal(leave_one_out_mins(path, gauge),
+        assert np.array_equal(leave_one_out_min(path, gauge),
                               leave_one_out_min(path, gauge, PrefixNNBackend.metric_indexed()))
 
 
