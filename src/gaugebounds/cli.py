@@ -193,18 +193,18 @@ def _cmd_estimate(args) -> int:
     if args.t is not None:
         report["t"] = args.t
         report["g_t"] = missing_mass_Gt(profile, args.t)
-        if gauge.kind in ("lipschitz", "discrete") and exceptions is None:
+        if gauge.kind == "lipschitz" and exceptions is None:
             # estimators.good_turing's isolation fraction, on the chosen backend
             loo = leave_one_out_min(path, gauge, backend)
             report["good_turing"] = float(np.count_nonzero(loo > args.t)) / loo.size
         else:
             report["good_turing"] = None
     if args.dump_profile:
+        entry = np.arange(profile.mins.size)
+        table = np.column_stack((entry, args.tau + entry, profile.mins))
         with FsPath(args.dump_profile).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["entry", "position", "min"])
-            for j, v in enumerate(profile.mins):
-                writer.writerow([j, args.tau + j, format(float(v), ".17g")])
+            np.savetxt(fh, table, fmt=["%d", "%d", "%.17g"], delimiter=",", newline="\r\n",
+                       header="entry,position,min", comments="")
     _write_json(report, args.out)
     return 0
 

@@ -307,8 +307,8 @@ def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
     """
     if not 0.0 < threshold < math.inf:
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    if gauge.kind not in ("lipschitz", "discrete"):
-        raise ValueError("good_turing needs a metric-type gauge (lipschitz or discrete)")
+    if gauge.kind != "lipschitz":
+        raise ValueError("good_turing needs a metric gauge: lipschitz, on either base metric")
     loo = _loo_mins(path, gauge, None)
     return float(np.count_nonzero(loo > threshold)) / loo.size
 

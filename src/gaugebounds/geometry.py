@@ -12,8 +12,7 @@ The built-in variants:
 variant                     g(y, x)
 ==========================  =============================================
 lipschitz (euclidean)       L * ||y - x||
-lipschitz (discrete)        L * 1{y != x}
-discrete                    1{y != x}
+lipschitz (discrete)        L * 1{y != x}   (discrete(): L = 1)
 smooth(gamma, lam)          (1 + lam) * (gamma / 2) * ||y - x||^2
 regression(L)               L * ||y - x|| + |y' - x'|   (paired points)
 hinge_classification(L)     L * ||y - x|| if labels match, else +inf
@@ -231,17 +230,22 @@ class GaugeSpec:
 
     kind: str
     L: float | None = None
-    metric: str = "euclidean"     # lipschitz base metric: "euclidean" | "discrete"
+    metric: str = "euclidean"     # base metric: "euclidean" | "discrete" (lipschitz only)
     gamma: float | None = None
     lam: float | None = None
     r0: float | None = None
     c: float | None = None
 
+    def __post_init__(self):
+        if self.metric not in ("euclidean", "discrete"):
+            raise ValueError("base metric must be 'euclidean' or 'discrete'")
+        if self.metric == "discrete" and self.kind != "lipschitz":
+            raise ValueError(f"only the lipschitz gauge takes the discrete base metric, "
+                             f"not {self.kind!r}")
+
     @classmethod
     def lipschitz(cls, L: float, metric: str = "euclidean") -> "GaugeSpec":
         _check_parameters(L=L)
-        if metric not in ("euclidean", "discrete"):
-            raise ValueError("base metric must be 'euclidean' or 'discrete'")
         return cls(kind="lipschitz", L=float(L), metric=metric)
 
     @classmethod
@@ -271,7 +275,8 @@ class GaugeSpec:
 
     @classmethod
     def discrete(cls) -> "GaugeSpec":
-        return cls(kind="discrete")
+        """The discrete metric 1{y != x}: the Lipschitz gauge with L = 1 on it."""
+        return cls.lipschitz(1.0, metric="discrete")
 
     @property
     def takes_infinite_values(self) -> bool:
@@ -288,8 +293,6 @@ class GaugeSpec:
             raise ValueError("diameter must be nonnegative")
         if self.takes_infinite_values:
             return math.inf
-        if self.kind == "discrete":
-            return 1.0
         if self.kind == "lipschitz":
             return self.L * (1.0 if self.metric == "discrete" else diameter)
         if self.kind == "smooth":
@@ -777,19 +780,6 @@ def _euclid_min_screened(
     return mins, screened, exact
 
 
-def base_metric_kind(gauge: GaugeSpec) -> str | None:
-    """Base metric that the gauge is a nondecreasing transform of.
-
-    Returns "euclidean" or "discrete"; None for the regression gauge, which
-    is a product metric handled by direct evaluation only.
-    """
-    if gauge.kind == "regression":
-        return None
-    if gauge.kind == "discrete" or (gauge.kind == "lipschitz" and gauge.metric == "discrete"):
-        return "discrete"
-    return "euclidean"
-
-
 def distance_transform(gauge: GaugeSpec) -> Callable[..., np.ndarray]:
     """Nondecreasing map from base-metric distance to gauge value.
 
@@ -803,8 +793,6 @@ def distance_transform(gauge: GaugeSpec) -> Callable[..., np.ndarray]:
     if kind in ("lipschitz", "hinge", "regression"):
         L = gauge.L
         return lambda d, out=None: np.multiply(L, d, out=out)
-    if kind == "discrete":
-        return lambda d, out=None: np.positive(d, out=out)   # the identity
     if kind == "smooth":
         scale = (1.0 + gauge.lam) * (gauge.gamma / 2.0)
 
@@ -846,7 +834,7 @@ def _required_path_kind(gauge: GaugeSpec) -> tuple[str, ...]:
         return ("labeled",)
     if gauge.kind == "regression":
         return ("paired",)
-    if base_metric_kind(gauge) == "discrete":
+    if gauge.metric == "discrete":
         return ("symbol", "coords")
     return ("coords",)
 
@@ -879,7 +867,7 @@ def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray
     queries, cand = _as_index(queries), _as_index(cand)
     if path.kind == "symbol":
         vals = _neq_block(path.symbols[cand], path.symbols[queries])
-    elif base_metric_kind(gauge) == "discrete":
+    elif gauge.metric == "discrete":
         vals = _neq_block(path.coords[cand], path.coords[queries])
     else:
         vals = _euclid_block(path.coords[cand], path.coords[queries])
@@ -1039,10 +1027,10 @@ def admissible_mins(
 
     naive, and the regression gauge on either kind, take _naive_mins.  The
     indexed kind minimizes the base metric and applies the nondecreasing
-    distance_transform once, to the minimum: _discrete_min for a discrete
-    base metric, _sorted_min at D = 1 where every query sees the same rows
-    and no keep mask or labels gate them (the truth's shape), and
-    _euclid_min_screened (hinge labels masking pairs) otherwise.  Every
+    distance_transform once, to the minimum: _discrete_min where
+    gauge.metric is discrete, _sorted_min at D = 1 where every query sees
+    the same rows and no keep mask or labels gate them (the truth's shape),
+    and _euclid_min_screened (hinge labels masking pairs) otherwise.  Every
     kernel returns the oracle's floats, so both kinds give the same minima
     bit for bit.
     """
@@ -1050,7 +1038,7 @@ def admissible_mins(
         mins, evaluations = _naive_mins(gauge, path, queries, limits, keep, skip_self)
         return mins, evaluations, 0
     screened = 0
-    if base_metric_kind(gauge) == "discrete":
+    if gauge.metric == "discrete":
         dmins, evaluations = _discrete_min(path, queries, limits, keep, skip_self)
     elif (path.dim == 1 and gauge.kind != "hinge" and keep is None and not skip_self
           and (limits == limits[0]).all()):
@@ -1076,7 +1064,7 @@ def eval_gauge(gauge: GaugeSpec, y: Point, x: Point) -> float:
 def eval_phi(gauge: GaugeSpec, fs: FunctionSample, i: int) -> float:
     """Penalty phi(f, X_i) of the gauge's companion rule.
 
-    lipschitz / discrete / regression / hinge evaluate f; smooth scales the
+    lipschitz / regression / hinge evaluate f; smooth scales the
     evaluation by (1 + 1/lam); the local variants add second-order terms
     built from the supplied local data:
 
@@ -1087,7 +1075,7 @@ def eval_phi(gauge: GaugeSpec, fs: FunctionSample, i: int) -> float:
         raise IndexError(f"index {i} out of range")
     v = float(fs.values[i])
     kind = gauge.kind
-    if kind in ("lipschitz", "discrete", "regression", "hinge"):
+    if kind in ("lipschitz", "regression", "hinge"):
         return v
     if kind == "smooth":
         return (1.0 + 1.0 / gauge.lam) * v

@@ -3,10 +3,12 @@
 CSV: comma-separated, one point per row.  The header names the columns:
 coordinates c0..c{D-1}, plus `label` or `target` for product points, or a
 single `symbol` column for discrete paths.  Reals are written with 17
-significant digits, which round-trips IEEE doubles exactly.
+significant digits, which round-trips IEEE doubles exactly, and rows end in
+CRLF, as csv.writer ends them.  numpy.savetxt streams the rows to the file
+one at a time, so the writer holds no text of the whole path.
 
 Binary: a 16-byte little-endian header (magic, n, D) followed by the payload
-as float64 rows.
+as float64 rows, written and read straight from and into arrays.
 
     bytes 0..3   magic  b"GB" + variant byte (c/s/l/p) + version b"1"
     bytes 4..11  n      uint64, number of points
@@ -38,36 +40,26 @@ _HEADER = struct.Struct("<4sQI")
 _MAX_BIN_SYMBOL = 2 ** 53
 
 
-# rows per write: whole-file strings would raise the writer's peak memory
-_WRITE_ROWS = 1024
-
-
-def _csv_layout(path: SamplePath) -> tuple[list[str], list[np.ndarray], str]:
-    """Header, (n, k) column blocks and %-format of one row (CRLF included)."""
+def _layout(path: SamplePath) -> tuple[str, np.ndarray, list[str]]:
+    """Header row, (n, k) table and per-column %-formats of a path: the CSV
+    file's rows, and as float64 the binary payload."""
     if path.kind == "symbol":
-        return ["symbol"], [path.symbols.reshape(-1, 1)], "%d\r\n"
+        return "symbol", path.symbols.reshape(-1, 1), ["%d"]
     header = [f"c{i}" for i in range(path.dim)]
-    columns = [path.coords]
-    fmt = ",".join(["%.17g"] * path.dim)
-    if path.kind == "labeled":
-        header.append("label")
-        columns.append(path.labels.reshape(-1, 1))
-        fmt += ",%d"
-    elif path.kind == "paired":
-        header.append("target")
-        columns.append(path.targets.reshape(-1, 1))
-        fmt += ",%.17g"
-    return header, columns, fmt + "\r\n"
+    fmt = ["%.17g"] * path.dim
+    if path.kind == "coords":
+        return ",".join(header), path.coords, fmt
+    # labels of -1/+1 are exact in the float64 table
+    name, column, last = (("label", path.labels, "%d") if path.kind == "labeled"
+                          else ("target", path.targets, "%.17g"))
+    return ",".join(header + [name]), np.column_stack((path.coords, column)), fmt + [last]
 
 
 def write_path_csv(path: SamplePath, file) -> None:
-    header, columns, fmt = _csv_layout(path)
+    header, table, fmt = _layout(path)
     with FsPath(file).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(path), _WRITE_ROWS):
-            blocks = [col[start:start + _WRITE_ROWS].tolist() for col in columns]
-            rows = blocks[0] if len(blocks) == 1 else [x + y for x, y in zip(*blocks)]
-            fh.write("".join([fmt % tuple(row) for row in rows]))
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=header, comments="")
 
 
 def _field_count_error(file: FsPath, width: int) -> ValueError | None:
@@ -121,25 +113,16 @@ def read_path_csv(file) -> SamplePath:
 
 def write_path_bin(path: SamplePath, file) -> None:
     file = FsPath(file)
-    n = len(path)
     if path.kind == "symbol":
         top = int(path.symbols.max())
         if top >= _MAX_BIN_SYMBOL:
             raise ValueError(f"symbol {top} does not fit the binary format's float64 "
                              f"column (symbols must be below 2^53); use CSV")
-        dim = 1
-        payload = path.symbols.astype(np.float64).reshape(n, 1)
-    else:
-        dim = path.dim
-        payload = path.coords
-        if path.kind == "labeled":
-            payload = np.hstack((payload, path.labels.astype(np.float64).reshape(n, 1)))
-        elif path.kind == "paired":
-            payload = np.hstack((payload, path.targets.reshape(n, 1)))
+    dim = 1 if path.kind == "symbol" else path.dim
     magic = b"GB" + _VARIANT_BYTE[path.kind] + b"1"
     with file.open("wb") as fh:
-        fh.write(_HEADER.pack(magic, n, dim))
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(magic, len(path), dim))
+        np.ascontiguousarray(_layout(path)[1], dtype="<f8").tofile(fh)
 
 
 def read_path_bin(file) -> SamplePath:

@@ -335,6 +335,7 @@ def validate_excess_loss_coverage(
     spaces and Monte Carlo (with a 3-standard-error allowance) otherwise.
     """
     _check_count("trials", trials)
+    _check_count("threads", threads)
     if proc.kind == "iid":
         mixing = MixingProfile(tau=tau, phi_tau=0.0, alpha_tau=0.0)
     else:
@@ -469,8 +470,8 @@ def decay_study(
     between-size simulation noise from the decay comparison.
 
     Sizes not exceeding tau are skipped with a notice: the estimator is
-    empty there.  A size or reset probability given twice is an error, as
-    it would give two rows one (p, n) key.
+    empty there.  Sizes that are all skipped, and a size or reset
+    probability given twice (two rows with one (p, n) key), are errors.
     """
     _check_count("n_seeds", n_seeds)
     emb = emb or EmbeddingSpec.identity()
@@ -480,10 +481,10 @@ def decay_study(
     _check_distinct("sizes", sizes)
     usable = [s for s in sizes if s > tau]
     skipped = [s for s in sizes if s <= tau]
+    if not usable:
+        raise ValueError(f"no size in {sizes} is larger than the gap tau={tau}")
     if skipped:
         logger.warning("skipping sizes %s: not larger than the gap tau=%d", skipped, tau)
-    if not usable:
-        return []
     if proc.kind == "iid":
         if p_list:
             raise ValueError("p_list applies to reset chains, not iid processes")

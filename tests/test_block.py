@@ -30,7 +30,6 @@ from gaugebounds.estimators import (
 )
 from gaugebounds.geometry import (
     _euclid_row,
-    base_metric_kind,
     distance_transform,
     gauge_block,
     gauge_row,
@@ -86,7 +85,7 @@ def _row_reference(gauge, path, q, cand):
     if path.kind == "symbol":
         return transform((path.symbols[cand] != path.symbols[q]).astype(np.float64))
     block = path.coords[cand]
-    if base_metric_kind(gauge) == "discrete":
+    if gauge.metric == "discrete":
         return transform((block != path.coords[q]).any(axis=1).astype(np.float64))
     vals = transform(_euclid_row(block, path.coords[q]))
     if gauge.kind == "hinge":

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import pytest
 
 import gaugebounds
 from gaugebounds import GaugeSpec, ProcessSpec, missing_mass_G, prefix_min_profile, simulate
-from gaugebounds import cli
+from gaugebounds import cli, pathio
 from gaugebounds.cli import main, parse_embedding, parse_gauge, parse_process
 
 
@@ -37,7 +39,7 @@ class TestSpecParsers:
     def test_gauge_strings(self):
         assert parse_gauge("lipschitz:L=2").L == 2.0
         assert parse_gauge("lipschitz:L=1,metric=discrete").metric == "discrete"
-        assert parse_gauge("discrete").kind == "discrete"
+        assert parse_gauge("discrete") == GaugeSpec.lipschitz(1.0, metric="discrete")
         assert parse_gauge("smooth:gamma=1.5,lambda=0.5").gamma == 1.5
         assert parse_gauge("local-smooth:c=2").c == 2.0
         assert parse_gauge("hinge:L=3").kind == "hinge"
@@ -284,6 +286,22 @@ class TestRejectedInputs:
         assert err["type"] == "ValueError" and named in err["message"]
         assert not (tmp_path / "t.csv").exists()
 
+    def test_study_without_a_usable_size(self, capsys, tmp_path):
+        err = self.error_of(capsys, ["study", "--process", "circle:p=0.5", "--tau", "3",
+                                     "--sizes", "1,2", "--out", str(tmp_path / "s.csv")])
+        assert err["type"] == "ValueError"
+        assert "[1, 2]" in err["message"] and "tau=3" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_coverage_with_too_few_threads(self, capsys, tmp_path, threads):
+        err = self.error_of(capsys, ["validate", "--check", "coverage", "--threads", threads,
+                                     "--n", "16", "--trials", "2",
+                                     "--out", str(tmp_path / "v.json")])
+        assert err == {"type": "ValueError",
+                       "message": f"threads must be at least 1, got {threads}"}
+        assert not (tmp_path / "v.json").exists()
+
     def test_any_exception_becomes_the_json_error(self, capsys, monkeypatch):
         def broken(_args):
             raise ZeroDivisionError("division by zero")
@@ -328,6 +346,25 @@ def test_indexed_regression_report_matches_naive(tmp_path):
     assert reports["indexed"] == reports["naive"]
     assert reports["naive"]["distance_evaluations"] == 38 * 39 // 2
     assert profiles["indexed"] == profiles["naive"]
+
+
+def test_profile_dump_bytes(tmp_path):
+    # hinge pairs across labels are +inf, L = 1e-300 makes the 1e-20 gap subnormal
+    pfile = tmp_path / "p.csv"
+    pfile.write_text("c0,label\n0,1\n0.1,-1\n1e-20,1\n0.3333333333333333,1\n0.7,-1\n")
+    dump = tmp_path / "mins.csv"
+    assert run(["estimate", "--in", str(pfile), "--gauge", "hinge:L=1e-300", "--tau", "1",
+                "--dump-profile", str(dump), "--out", str(tmp_path / "r.json")]) == 0
+    mins = prefix_min_profile(pathio.read_path(pfile), GaugeSpec.hinge_classification(1e-300),
+                              1).mins
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["entry", "position", "min"])
+    for j, v in enumerate(mins):
+        writer.writerow([j, 1 + j, format(float(v), ".17g")])
+    assert dump.read_bytes() == ref.getvalue().encode()
+    assert [line.split(",")[2] for line in dump.read_text().splitlines()[1:]] == \
+        ["inf", "9.9998886718268301e-321", "3.3333333333333334e-301", "6e-301"]
 
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):

@@ -122,6 +122,13 @@ class TestGaugeProperties:
         expected = 0.5 * (c * (1.0 + d * d) * d) ** 2
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
+    def test_base_metric_checked(self):
+        with pytest.raises(ValueError, match="base metric must be"):
+            GaugeSpec.lipschitz(1.0, metric="manhattan")
+        for kind in ("smooth", "regression", "hinge", "local_lipschitz"):
+            with pytest.raises(ValueError, match=f"discrete base metric, not '{kind}'"):
+                GaugeSpec(kind=kind, metric="discrete")
+
     def test_sup_gauge(self):
         assert GaugeSpec.discrete().sup_gauge(7.0) == 1.0
         assert GaugeSpec.lipschitz(2.0).sup_gauge(3.0) == 6.0

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,11 +381,10 @@ def _edge_paths():
 
 class TestPathCsvFormat:
     """The CSV writer emits csv.writer's bytes, and the reader returns every
-    value bit for bit, over several write blocks."""
+    value bit for bit."""
 
     @pytest.mark.parametrize("kind", ["coords", "labeled", "paired", "symbol"])
-    def test_bytes_and_round_trip(self, tmp_path, monkeypatch, kind):
-        monkeypatch.setattr(pathio, "_WRITE_ROWS", 3)
+    def test_bytes_and_round_trip(self, tmp_path, kind):
         path = _edge_paths()[kind]
         f, g = tmp_path / "a.csv", tmp_path / "b.csv"
         pathio.write_path_csv(path, f)
@@ -398,6 +398,20 @@ class TestPathCsvFormat:
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
         pathio.write_path_csv(back, g)
         assert g.read_bytes() == f.read_bytes()
+
+    def test_writer_streams_rows(self, tmp_path):
+        # the file is about 5 MB of text: a writer that holds it, or the rows as
+        # Python floats, passes the bound many times over (the 2 MB path is
+        # made before tracing starts)
+        path = SamplePath.from_coords(np.random.default_rng(0).random((1024, 256)))
+        tracemalloc.start()
+        try:
+            pathio.write_path_csv(path, tmp_path / "p.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert pathio.read_path_csv(tmp_path / "p.csv").coords.tobytes() == path.coords.tobytes()
 
     def test_reader_error_messages(self, tmp_path):
         f = tmp_path / "p.csv"
