@@ -28,8 +28,8 @@ Also included: the worst-case missing-mass tail driven by covering numbers,
 
 vacuous (+inf) when the floor term is <= 1.
 
-Pure arithmetic throughout; every report's total is the exact float sum of
-its itemized terms, in the order estimator + mixing + confidence + entropy.
+Pure arithmetic throughout; a report derives its total, the float sum of its
+terms in the order estimator + mixing + confidence + entropy, and vacuity.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class ClassBounds:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound, itemized.  total is the exact float sum of the
-    present terms in a fixed order, and vacuous flags totals that exceed the
+    """One evaluated bound, itemized.  total is the float sum of the present
+    terms in the fixed order of terms(), and vacuous flags a total above the
     trivial ceiling (1 for probabilities, ||F|| for risks)."""
 
     kind: str
@@ -115,19 +115,12 @@ class BoundReport:
     mixing_term: float
     confidence_term: float
     entropy_term: float | None
-    total: float
-    vacuous: bool
+    ceiling: float
     inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        parts = [self.estimator_term, self.mixing_term, self.confidence_term]
-        if self.entropy_term is not None:
-            parts.append(self.entropy_term)
-        if any(p < 0 for p in parts):
+        if any(p < 0 for p in self.terms().values()):
             raise ValueError("bound terms must be nonnegative")
-        expected = parts[0] + parts[1] + parts[2] + (parts[3] if len(parts) == 4 else 0.0)
-        if self.total != expected:
-            raise ValueError("total must be the exact sum of the itemized terms")
 
     def terms(self) -> dict:
         out = {
@@ -138,6 +131,15 @@ class BoundReport:
         if self.entropy_term is not None:
             out["entropy_term"] = self.entropy_term
         return out
+
+    @property
+    def total(self) -> float:
+        total = self.estimator_term + self.mixing_term + self.confidence_term
+        return total if self.entropy_term is None else total + self.entropy_term
+
+    @property
+    def vacuous(self) -> bool:
+        return self.total > self.ceiling
 
 
 def _check_delta(delta: float) -> None:
@@ -185,7 +187,6 @@ def excess_loss_probability_bound(
     estimator = 2.0 * gt_value
     mixing_term = mixing.phi_tau
     confidence = martingale_tail_threshold(n_eff, delta)
-    total = estimator + mixing_term + confidence
     inputs = {"gt_value": gt_value, "n": n, "tau": mixing.tau, "delta": delta,
               "phi_tau": mixing.phi_tau}
     if t is not None:
@@ -196,8 +197,7 @@ def excess_loss_probability_bound(
         mixing_term=mixing_term,
         confidence_term=confidence,
         entropy_term=None,
-        total=total,
-        vacuous=total > 1.0,
+        ceiling=1.0,
         inputs=inputs,
     )
 
@@ -229,15 +229,13 @@ def risk_bound(
         estimator = g_value
         confidence = class_bounds.sup_g * math.sqrt(2.0 * math.log(1.0 / delta) / n_eff)
     mixing_term = class_bounds.sup_f * mixing.phi_tau
-    total = estimator + mixing_term + confidence
     return BoundReport(
         kind="risk",
         estimator_term=estimator,
         mixing_term=mixing_term,
         confidence_term=confidence,
         entropy_term=None,
-        total=total,
-        vacuous=total > class_bounds.sup_f,
+        ceiling=class_bounds.sup_f,
         inputs={"g_value": g_value, "n": n, "tau": mixing.tau, "delta": delta,
                 "phi_tau": mixing.phi_tau, "sup_f": class_bounds.sup_f,
                 "sup_g": class_bounds.sup_g, "variant": variant},
@@ -297,15 +295,13 @@ def risk_bound_with_exceptions(
     mixing_term = class_bounds.sup_f * mixing.phi_tau
     confidence = _E * class_bounds.sup_g * ((rest + math.log(1.0 / delta)) / n_eff)
     entropy = _E * class_bounds.sup_g * h
-    total = estimator + mixing_term + confidence + entropy
     return BoundReport(
         kind="risk_with_exceptions",
         estimator_term=estimator,
         mixing_term=mixing_term,
         confidence_term=confidence,
         entropy_term=entropy,
-        total=total,
-        vacuous=total > class_bounds.sup_f,
+        ceiling=class_bounds.sup_f,
         inputs={"g_value": g_value, "n": n, "tau": mixing.tau, "delta": delta,
                 "alpha": alpha, "phi_tau": mixing.phi_tau,
                 "sup_f": class_bounds.sup_f, "sup_g": class_bounds.sup_g},

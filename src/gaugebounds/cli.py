@@ -164,14 +164,14 @@ def _cmd_simulate(args) -> int:
     proc = parse_process(args.process, seed=args.seed)
     emb = parse_embedding(args.embedding)
     path = embed(emb, simulate(proc, args.n))
-    pathio.write_path(path, args.out, args.format)
+    pathio.write_path(path, args.out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     gauge = parse_gauge(args.gauge)
     indices = tuple(int(i) for i in args.exclude.split(",")) if args.exclude else None
-    path = pathio.read_path(args.infile, args.format)
+    path = pathio.read_path(args.infile)
     exceptions = None
     if indices is not None:
         exceptions = ExceptionSet(indices=indices, n_eff=len(path) - args.tau)
@@ -328,13 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--embedding", default="identity", help=parse_embedding.__doc__)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--format", choices=("csv", "bin"), default="csv")
+    sim.add_argument("--out", required=True, help="a .bin name is binary, else CSV")
     sim.set_defaults(func=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="compute gap estimators from a path file")
-    est.add_argument("--in", dest="infile", required=True)
-    est.add_argument("--format", choices=("csv", "bin"), default=None)
+    est.add_argument("--in", dest="infile", required=True, help="a .bin name is binary, else CSV")
     est.add_argument("--gauge", required=True, help=parse_gauge.__doc__)
     est.add_argument("--tau", type=int, required=True)
     est.add_argument("--t", type=float, default=None, help="threshold for G_t and Good-Turing")

@@ -354,6 +354,8 @@ class FunctionSample:
 # at most _TILE coordinates and reuse one buffer through out= arguments.  At
 # D = 1 there is no reduction axis and no tile buffer: a sum of one term is
 # that term, so the differences are squared and rooted in the output itself.
+# Overflow to +inf is by design: each kernel and transform call enters a new
+# np.errstate(over="ignore") (a shared one is not thread-safe on numpy 1.x).
 #
 # Allocation rule of the naive scan.  gauge_block makes one block-sized
 # float64 array per call, and everything after it writes into that array in
@@ -389,8 +391,9 @@ _SCRATCH = 1 << 13       # float64 entries per scratch slice beside a block (64 
 
 
 def _euclid_row(block: np.ndarray, q: np.ndarray) -> np.ndarray:
-    diff = block - q
-    return np.sqrt((diff * diff).sum(axis=1))
+    with np.errstate(over="ignore"):
+        diff = block - q
+        return np.sqrt((diff * diff).sum(axis=1))
 
 
 def _tile_shape(m: int, c: int, dim: int) -> tuple[int, int]:
@@ -422,22 +425,23 @@ def _scratch_slices(a: np.ndarray):
 def _euclid_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """out[r, i] = _euclid_row(block, queries[r])[i], bit for bit, as a new
     (len(queries), len(block)) array."""
-    m, dim = queries.shape
-    c = block.shape[0]
-    out = np.empty((m, c))
-    if dim == 1:
-        np.subtract(block[:, 0], queries, out=out)
-        np.multiply(out, out, out=out)
+    with np.errstate(over="ignore"):
+        m, dim = queries.shape
+        c = block.shape[0]
+        out = np.empty((m, c))
+        if dim == 1:
+            np.subtract(block[:, 0], queries, out=out)
+            np.multiply(out, out, out=out)
+            return np.sqrt(out, out=out)
+        rows, cols = _tile_shape(m, c, dim)
+        buf = np.empty(rows * cols * dim)
+        for rs, cs in _tiles(m, c, rows, cols):
+            shape = (rs.stop - rs.start, cs.stop - cs.start, dim)
+            diff = buf[: math.prod(shape)].reshape(shape)
+            np.subtract(block[None, cs], queries[rs, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=2, out=out[rs, cs])
         return np.sqrt(out, out=out)
-    rows, cols = _tile_shape(m, c, dim)
-    buf = np.empty(rows * cols * dim)
-    for rs, cs in _tiles(m, c, rows, cols):
-        shape = (rs.stop - rs.start, cs.stop - cs.start, dim)
-        diff = buf[: math.prod(shape)].reshape(shape)
-        np.subtract(block[None, cs], queries[rs, None], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=2, out=out[rs, cs])
-    return np.sqrt(out, out=out)
 
 
 def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -538,7 +542,6 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53
-_MAX_COLS = 4096         # candidate rows per tile
 _EXACT_BATCH = 1 << 15   # coordinates gathered per exact re-evaluation batch
 
 
@@ -606,116 +609,114 @@ def _euclid_min_screened(
     row's best screened pair and at the pairs the final bound cannot prune.
     With one centre this is the plain screen.
     """
-    n, dim = coords.shape
-    m = queries.size
-    mins = np.full(m, np.inf)
-    big = np.finfo(np.float64).max
-
-    # step (2): centre on the midrange, scale by a power of two to max|z| < 1;
-    # fl(x - mid) is monotone in x, so each column's extremes give max|z|
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
-    mid = 0.5 * lo + 0.5 * hi
-    amax = max(float((hi - mid).max()), float((mid - lo).max()))
-    s = -int(np.frexp(amax)[1]) if amax > 0.0 else 0
-    z = coords - mid
-    np.ldexp(z, s, out=z)
-    norms = np.einsum("ij,ij->i", z, z)
-    centres, nearest, lam = _farthest_point_centres(z, norms, _n_clusters(n))
-    del z
-    k = centres.size
-    screened = n * k
-    exact = 0
-
-    # step (6)'s left side for every (centre, row) pair, from the traversal
-    rho = np.sqrt(4.0 * _gamma(dim + 4) * norms)
-    step = max(1, _TILE // n)
-    for j0 in range(0, k, step):
-        tmp = rho[centres[j0: j0 + step], None] + rho[None, :]
-        tmp *= tmp
-        lam[j0: j0 + step] -= tmp
-    np.maximum(lam, 0.0, out=lam)
-    np.sqrt(lam, out=lam)
-
-    # rows ordered by (cluster, position); non-candidates go last
-    top = int(limits.max())
-    member = np.zeros(n, dtype=bool)
-    member[:top] = True if keep is None else keep[:top]
-    key = np.where(member, nearest, k)
-    perm = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[perm], np.arange(k + 1))
-    z = coords[perm]
-    z -= mid
-    np.ldexp(z, s, out=z)
-    norms, rho = norms[perm], rho[perm]
-    pos = np.empty(n, dtype=np.intp)
-    pos[perm] = np.arange(n)
-    qpos = pos[queries]
-    lab = None if labels is None else labels[perm]
-    t_factor = 1.0 + _gamma(2 * dim + 16)
     with np.errstate(over="ignore"):
+        n, dim = coords.shape
+        m = queries.size
+        mins = np.full(m, np.inf)
+        big = np.finfo(np.float64).max
+
+        # step (2): centre on the midrange, scale by a power of two to max|z| < 1;
+        # fl(x - mid) is monotone in x, so each column's extremes give max|z|
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        mid = 0.5 * lo + 0.5 * hi
+        amax = max(float((hi - mid).max()), float((mid - lo).max()))
+        s = -int(np.frexp(amax)[1]) if amax > 0.0 else 0
+        z = coords - mid
+        np.ldexp(z, s, out=z)
+        norms = np.einsum("ij,ij->i", z, z)
+        centres, nearest, lam = _farthest_point_centres(z, norms, _n_clusters(n))
+        del z
+        k = centres.size
+        screened = n * k
+        exact = 0
+
+        # step (6)'s left side for every (centre, row) pair, from the traversal
+        rho = np.sqrt(4.0 * _gamma(dim + 4) * norms)
+        step = max(1, _TILE // n)
+        for j0 in range(0, k, step):
+            tmp = rho[centres[j0: j0 + step], None] + rho[None, :]
+            tmp *= tmp
+            lam[j0: j0 + step] -= tmp
+        np.maximum(lam, 0.0, out=lam)
+        np.sqrt(lam, out=lam)
+
+        # rows ordered by (cluster, position); non-candidates go last
+        top = int(limits.max())
+        member = np.zeros(n, dtype=bool)
+        member[:top] = True if keep is None else keep[:top]
+        key = np.where(member, nearest, k)
+        perm = np.argsort(key, kind="stable")
+        bounds = np.searchsorted(key[perm], np.arange(k + 1))
+        z = coords[perm]
+        z -= mid
+        np.ldexp(z, s, out=z)
+        norms, rho = norms[perm], rho[perm]
+        pos = np.empty(n, dtype=np.intp)
+        pos[perm] = np.arange(n)
+        qpos = pos[queries]
+        lab = None if labels is None else labels[perm]
+        t_factor = 1.0 + _gamma(2 * dim + 16)
         t_abs = float(np.ldexp(2.0 * dim, 2 * s - 1074)) + math.ldexp(dim, -499)
-    batch = max(1, _EXACT_BATCH // dim)
-    buf = np.empty(max(_TILE >> 4, _MAX_COLS))
+        batch = max(1, _EXACT_BATCH // dim)
+        # a tile is a block of query rows against one whole cluster slice
+        buf = np.empty(max(_TILE >> 4, int(np.diff(bounds).max())))
 
-    def threshold(ub):
-        # step (5): the largest L a pair may have and still reach below ub
-        uu = np.ldexp(ub, s)
-        thr = np.minimum(uu * uu * t_factor + t_abs, big)
-        thr[ub == 0.0] = -np.inf
-        return thr
+        def threshold(ub):
+            # step (5): the largest L a pair may have and still reach below ub
+            uu = np.ldexp(ub, s)
+            thr = np.minimum(uu * uu * t_factor + t_abs, big)
+            thr[ub == 0.0] = -np.inf
+            return thr
 
-    def evaluate(rq, cand):
-        # the exact kernel for query numbers rq against path rows cand
-        nonlocal exact
-        exact += rq.size
-        for e0 in range(0, rq.size, batch):
-            r_k = rq[e0: e0 + batch]
-            np.minimum.at(mins, r_k, _euclid_row(coords[cand[e0: e0 + batch]],
-                                                 coords[queries[r_k]]))
+        def evaluate(rq, cand):
+            # the exact kernel for query numbers rq against path rows cand
+            nonlocal exact
+            exact += rq.size
+            for e0 in range(0, rq.size, batch):
+                r_k = rq[e0: e0 + batch]
+                np.minimum.at(mins, r_k, _euclid_row(coords[cand[e0: e0 + batch]],
+                                                     coords[queries[r_k]]))
 
-    found = []        # pass 2: pairs its fixed thresholds cannot prune
+        found = []        # pass 2: pairs its fixed thresholds cannot prune
 
-    def screen(b, rows, fixed=None):
-        # query numbers rows against the members of cluster b each admits, a
-        # prefix of the cluster's slice; with fixed thresholds, keep the
-        # survivors in found for later
-        nonlocal screened
-        c0 = int(bounds[b])
-        cnt = np.searchsorted(perm[c0: bounds[b + 1]], limits[rows])
-        rows, cnt = rows[cnt > 0], cnt[cnt > 0]
-        if rows.size == 0:
-            return
-        cols = min(_MAX_COLS, int(cnt.max()))
-        per = max(1, (_TILE >> 4) // cols)
-        for b0 in range(0, rows.size, per):
-            br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
-            bq = br.size
-            qp = qpos[br]
-            zq2 = z[qp]
-            zq2 *= -2.0
-            ar = np.arange(bq)
-            end = c0 + int(bc.max())
-            for k0 in range(c0, end, cols):
-                k1 = min(end, k0 + cols)
-                w = k1 - k0
+        def screen(b, rows, fixed=None):
+            # query numbers rows against the members of cluster b each admits, a
+            # prefix of the cluster's slice; with fixed thresholds, keep the
+            # survivors in found for later
+            nonlocal screened
+            c0 = int(bounds[b])
+            cnt = np.searchsorted(perm[c0: bounds[b + 1]], limits[rows])
+            rows, cnt = rows[cnt > 0], cnt[cnt > 0]
+            if rows.size == 0:
+                return
+            per = max(1, (_TILE >> 4) // int(cnt.max()))
+            for b0 in range(0, rows.size, per):
+                br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
+                bq = br.size
+                qp = qpos[br]
+                zq2 = z[qp]
+                zq2 *= -2.0
+                ar = np.arange(bq)
+                end = c0 + int(bc.max())
+                w = end - c0
                 # step (4): L = (n_q + n_x - 2 G) - (r_q + r_x)^2, with the
                 # tile's largest r_x for every x
                 lt = buf[: bq * w].reshape(bq, w)
-                np.matmul(zq2, z[k0:k1].T, out=lt)
+                np.matmul(zq2, z[c0:end].T, out=lt)
                 lt += norms[qp, None]
-                lt += norms[None, k0:k1]
-                rr = rho[qp] + rho[k0:k1].max()
+                lt += norms[None, c0:end]
+                rr = rho[qp] + rho[c0:end].max()
                 rr *= rr
                 lt -= rr[:, None]
                 screened += bq * w
                 # inadmissible pairs get +inf, which the clamped T always prunes
-                if k1 - c0 > bc.min():
-                    lt[np.arange(k0 - c0, k1 - c0)[None, :] >= bc[:, None]] = np.inf
+                if w > bc.min():
+                    lt[np.arange(w)[None, :] >= bc[:, None]] = np.inf
                 if lab is not None:
-                    lt[lab[qp, None] != lab[None, k0:k1]] = np.inf
+                    lt[lab[qp, None] != lab[None, c0:end]] = np.inf
                 if skip_self:
-                    mine = (qp >= k0) & (qp < k1)
-                    lt[ar[mine], qp[mine] - k0] = np.inf
+                    mine = (qp >= c0) & (qp < end)
+                    lt[ar[mine], qp[mine] - c0] = np.inf
                 best = lt.argmin(axis=1)
                 low = lt[ar, best]
                 if fixed is not None:
@@ -726,58 +727,57 @@ def _euclid_min_screened(
                     if near.size:
                         sr, sc = np.nonzero(lt[near] <= fixed[br[near], None])
                         sr = near[sr]
-                        found.append((br[sr], perm[k0 + sc], lt[sr, sc]))
+                        found.append((br[sr], perm[c0 + sc], lt[sr, sc]))
                     continue
                 # upper bound: the exact kernel at the row's best pair, where
                 # that pair survives the bound attained so far
                 hit = ar[low <= threshold(mins[br])]
-                evaluate(br[hit], perm[k0 + best[hit]])
+                evaluate(br[hit], perm[c0 + best[hit]])
                 lt[hit, best[hit]] = np.inf
                 # step (5): evaluate exactly every pair the rule cannot prune
                 sr, sc = np.nonzero(lt <= threshold(mins[br])[:, None])
-                evaluate(br[sr], perm[k0 + sc])
+                evaluate(br[sr], perm[c0 + sc])
 
-    # pass 1: every query against the admitted members of its own cluster
-    own = nearest[queries]
-    order = np.argsort(own, kind="stable")
-    qbounds = np.searchsorted(own[order], np.arange(k + 1))
-    filled = np.flatnonzero(bounds[:-1] < bounds[1:])
-    for b in filled:
-        screen(b, order[qbounds[b]: qbounds[b + 1]])
-    if k == 1:
-        return mins, screened, exact
+        # pass 1: every query against the admitted members of its own cluster
+        own = nearest[queries]
+        order = np.argsort(own, kind="stable")
+        qbounds = np.searchsorted(own[order], np.arange(k + 1))
+        filled = np.flatnonzero(bounds[:-1] < bounds[1:])
+        for b in filled:
+            screen(b, order[qbounds[b]: qbounds[b + 1]])
+        if k == 1:
+            return mins, screened, exact
 
-    # cluster radii: the exact kernel of every member against its centre
-    n_cand = int(bounds[k])
-    rad = np.empty(n_cand)
-    for b0 in range(0, n_cand, batch):
-        rows = perm[b0: min(n_cand, b0 + batch)]
-        rad[b0: b0 + batch] = _euclid_row(coords[rows], coords[centres[key[rows]]])
-    exact += n_cand
-    radius = np.zeros(k)
-    radius[filled] = np.maximum.reduceat(rad, bounds[filled])
+        # cluster radii: the exact kernel of every member against its centre
+        n_cand = int(bounds[k])
+        rad = np.empty(n_cand)
+        for b0 in range(0, n_cand, batch):
+            rows = perm[b0: min(n_cand, b0 + batch)]
+            rad[b0: b0 + batch] = _euclid_row(coords[rows], coords[centres[key[rows]]])
+        exact += n_cand
+        radius = np.zeros(k)
+        radius[filled] = np.maximum.reduceat(rad, bounds[filled])
 
-    # pass 2: each other cluster with the queries step (6) cannot prune for
-    # it under the bounds of pass 1
-    f_factor = 1.0 + _gamma(dim + 16)
-    a_abs = math.ldexp(math.sqrt(dim), s - 535) + math.ldexp(math.sqrt(dim), -249)
-    with np.errstate(over="ignore"):
+        # pass 2: each other cluster with the queries step (6) cannot prune for
+        # it under the bounds of pass 1
+        f_factor = 1.0 + _gamma(dim + 16)
+        a_abs = math.ldexp(math.sqrt(dim), s - 535) + math.ldexp(math.sqrt(dim), -249)
         reach_q, reach_c = np.ldexp(mins, s), np.ldexp(radius, s)
-    fixed = threshold(mins)
-    for b in filled:
-        live = lam[b, queries] <= (reach_q + reach_c[b]) * f_factor + a_abs
-        live[own == b] = False
-        screen(b, np.flatnonzero(live), fixed)
-    if found:
-        # each row's best kept pair first, then what its bound leaves
-        rq, cand, low = (np.concatenate(part) for part in zip(*found))
-        order = np.lexsort((low, rq))
-        first = order[np.r_[True, rq[order[1:]] != rq[order[:-1]]]]
-        evaluate(rq[first], cand[first])
-        left = low <= threshold(mins)[rq]
-        left[first] = False
-        evaluate(rq[left], cand[left])
-    return mins, screened, exact
+        fixed = threshold(mins)
+        for b in filled:
+            live = lam[b, queries] <= (reach_q + reach_c[b]) * f_factor + a_abs
+            live[own == b] = False
+            screen(b, np.flatnonzero(live), fixed)
+        if found:
+            # each row's best kept pair first, then what its bound leaves
+            rq, cand, low = (np.concatenate(part) for part in zip(*found))
+            order = np.lexsort((low, rq))
+            first = order[np.r_[True, rq[order[1:]] != rq[order[:-1]]]]
+            evaluate(rq[first], cand[first])
+            left = low <= threshold(mins)[rq]
+            left[first] = False
+            evaluate(rq[left], cand[left])
+        return mins, screened, exact
 
 
 def distance_transform(gauge: GaugeSpec) -> Callable[..., np.ndarray]:
@@ -792,13 +792,19 @@ def distance_transform(gauge: GaugeSpec) -> Callable[..., np.ndarray]:
     kind = gauge.kind
     if kind in ("lipschitz", "hinge", "regression"):
         L = gauge.L
-        return lambda d, out=None: np.multiply(L, d, out=out)
+
+        def lipschitz(d, out=None):
+            with np.errstate(over="ignore"):
+                return np.multiply(L, d, out=out)
+
+        return lipschitz
     if kind == "smooth":
         scale = (1.0 + gauge.lam) * (gauge.gamma / 2.0)
 
         def smooth(d, out=None):
-            dd = np.multiply(d, d, out=out)
-            return np.multiply(scale, dd, out=dd)
+            with np.errstate(over="ignore"):
+                dd = np.multiply(d, d, out=out)
+                return np.multiply(scale, dd, out=dd)
 
         return smooth
     if kind == "local_lipschitz":
@@ -817,13 +823,14 @@ def distance_transform(gauge: GaugeSpec) -> Callable[..., np.ndarray]:
         def local_smooth(d, out=None):
             # explicit multiplies: numpy's ** takes a different code path for
             # scalars than for arrays and can differ in the last ulp
-            dd = np.multiply(d, d, out=out)
-            for rows, rho in _scratch_slices(dd):
-                np.multiply(c, np.add(1.0, dd[rows], out=rho), out=rho)
-                np.multiply(rho, rho, out=rho)
-                np.multiply(0.5, rho, out=rho)
-                np.multiply(rho, dd[rows], out=dd[rows])
-            return dd
+            with np.errstate(over="ignore"):
+                dd = np.multiply(d, d, out=out)
+                for rows, rho in _scratch_slices(dd):
+                    np.multiply(c, np.add(1.0, dd[rows], out=rho), out=rho)
+                    np.multiply(rho, rho, out=rho)
+                    np.multiply(0.5, rho, out=rho)
+                    np.multiply(rho, dd[rows], out=dd[rows])
+                return dd
 
         return local_smooth
     raise ValueError(f"unknown gauge kind {kind!r}")
@@ -865,21 +872,22 @@ def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray
     """
     check_gauge_path(gauge, path)
     queries, cand = _as_index(queries), _as_index(cand)
-    if path.kind == "symbol":
-        vals = _neq_block(path.symbols[cand], path.symbols[queries])
-    elif gauge.metric == "discrete":
-        vals = _neq_block(path.coords[cand], path.coords[queries])
-    else:
-        vals = _euclid_block(path.coords[cand], path.coords[queries])
-    distance_transform(gauge)(vals, out=vals)
-    if gauge.kind == "hinge":
-        np.copyto(vals, np.inf, where=path.labels[queries][:, None] != path.labels[cand])
-    elif gauge.kind == "regression":
-        targets, own = path.targets[cand], path.targets[queries]
-        for rows, dy in _scratch_slices(vals):
-            np.subtract(targets, own[rows, None], out=dy)
-            vals[rows] += np.abs(dy, out=dy)
-    return vals
+    with np.errstate(over="ignore"):
+        if path.kind == "symbol":
+            vals = _neq_block(path.symbols[cand], path.symbols[queries])
+        elif gauge.metric == "discrete":
+            vals = _neq_block(path.coords[cand], path.coords[queries])
+        else:
+            vals = _euclid_block(path.coords[cand], path.coords[queries])
+        distance_transform(gauge)(vals, out=vals)
+        if gauge.kind == "hinge":
+            np.copyto(vals, np.inf, where=path.labels[queries][:, None] != path.labels[cand])
+        elif gauge.kind == "regression":
+            targets, own = path.targets[cand], path.targets[queries]
+            for rows, dy in _scratch_slices(vals):
+                np.subtract(targets, own[rows, None], out=dy)
+                vals[rows] += np.abs(dy, out=dy)
+        return vals
 
 
 def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarray:

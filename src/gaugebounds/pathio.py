@@ -1,5 +1,8 @@
 """Path files: CSV and raw binary, both float-exact round trips.
 
+The file name decides the format: a name ending in `.bin` is binary, any
+other name is CSV, for writing and reading alike.
+
 CSV: comma-separated, one point per row.  The header names the columns:
 coordinates c0..c{D-1}, plus `label` or `target` for product points, or a
 single `symbol` column for discrete paths.  Reals are written with 17
@@ -151,21 +154,15 @@ def read_path_bin(file) -> SamplePath:
     return SamplePath.from_coords(data)
 
 
-def write_path(path: SamplePath, file, fmt: str) -> None:
-    if fmt == "csv":
-        write_path_csv(path, file)
-    elif fmt == "bin":
-        write_path_bin(path, file)
-    else:
-        raise ValueError(f"unknown path format {fmt!r}")
+def _is_bin(file) -> bool:
+    return FsPath(file).suffix == ".bin"
 
 
-def read_path(file, fmt: str | None = None) -> SamplePath:
-    file = FsPath(file)
-    if fmt is None:
-        fmt = "bin" if file.suffix == ".bin" else "csv"
-    if fmt == "csv":
-        return read_path_csv(file)
-    if fmt == "bin":
-        return read_path_bin(file)
-    raise ValueError(f"unknown path format {fmt!r}")
+def write_path(path: SamplePath, file) -> None:
+    """Write a path file; a `.bin` name gets the binary format, any other CSV."""
+    (write_path_bin if _is_bin(file) else write_path_csv)(path, file)
+
+
+def read_path(file) -> SamplePath:
+    """Read a path file, in the format write_path gives its name."""
+    return read_path_bin(file) if _is_bin(file) else read_path_csv(file)

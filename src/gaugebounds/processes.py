@@ -334,7 +334,8 @@ def _raster_render(template: np.ndarray, angles: np.ndarray, scales: np.ndarray)
         for offset, w in ((0, gx * gy), (1, fx * gy), (width, gx * fy), (width + 1, fx * fy)):
             block += w * padded[corner + offset]
         block -= block.mean(axis=1, keepdims=True)
-        norms = np.sqrt((block * block).sum(axis=1))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((block * block).sum(axis=1))
         if not np.isfinite(norms).all():
             raise ValueError("raster image norm overflows: template values are too large")
         if (norms < 1e-12).any():

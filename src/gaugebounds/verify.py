@@ -177,8 +177,7 @@ def _binomial_tail(v: int, n: int, p: float) -> float:
         guard *= 2
 
 
-def binomial_pass(violations: int, trials: int, target: float,
-                  level: float = _PASS_LEVEL) -> tuple[bool, float]:
+def binomial_pass(violations: int, trials: int, target: float) -> tuple[bool, float]:
     """Exact one-sided binomial upper test of rate <= target.
 
     The p-value P[Binomial(trials, target) >= violations] is the exact tail
@@ -191,7 +190,7 @@ def binomial_pass(violations: int, trials: int, target: float,
     if not 0 <= violations <= trials:
         raise ValueError(f"violations must lie in [0, trials={trials}], got {violations}")
     p_value = _binomial_tail(violations, trials, target)
-    return p_value >= level, p_value
+    return p_value >= _PASS_LEVEL, p_value
 
 
 def _report(violations: int, trials: int, target: float) -> TrialReport:
@@ -444,7 +443,7 @@ class DecayRow:
     mean_g: float
     std_g: float
     n_seeds: int
-    tau_mix: int | None      # smallest gap with (1-p)^gap <= eps
+    tau_mix: int | None      # mixing_time(p)
     tau_over_n: float | None
 
 
@@ -457,7 +456,6 @@ def decay_study(
     p_list=None,
     n_seeds: int = 10,
     seed: int = 0,
-    eps: float = 0.1,
     backend: str = "indexed",
 ) -> list[DecayRow]:
     """Mean and spread of the gap estimator G across sample sizes and reset
@@ -505,7 +503,7 @@ def decay_study(
     rows = []
     for p, variant in variants:
         profiles = [one_run(variant.with_seed(int(next(seeds)))) for _ in range(n_seeds)]
-        tau_mix = 1 if p >= 1.0 else mixing_time(p, eps)
+        tau_mix = mixing_time(p)
         for s in usable:
             arr = np.asarray([_ordered_mean(m[: s - tau]) for m in profiles])
             rows.append(DecayRow(

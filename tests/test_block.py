@@ -36,9 +36,6 @@ from gaugebounds.geometry import (
 )
 from test_screen import adversarial_coords
 
-# huge coordinates overflow the kernel and the smooth gauges to +inf
-pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 

@@ -62,7 +62,7 @@ class TestSimulateEstimateRoundTrip:
         pfile = tmp_path / f"path.{fmt}"
         rfile = tmp_path / "report.json"
         assert run(["simulate", "--process", "circle:zeta=0.3,p=0.2", "--n", "64",
-                    "--seed", "5", "--out", str(pfile), "--format", fmt]) == 0
+                    "--seed", "5", "--out", str(pfile)]) == 0
         assert run(["estimate", "--in", str(pfile), "--gauge", "lipschitz:L=1",
                     "--tau", "2", "--out", str(rfile)]) == 0
         report = load_json(rfile)
@@ -71,6 +71,13 @@ class TestSimulateEstimateRoundTrip:
                                                      GaugeSpec.lipschitz(1.0), 2))
         assert report["g"] == expected    # bit-exact round trip
         assert report["n"] == 64 and report["tau"] == 2
+
+    def test_bin_name_writes_the_binary_format(self, tmp_path):
+        pfile = tmp_path / "x.bin"
+        assert run(["simulate", "--process", "circle:p=0.2", "--n", "8",
+                    "--out", str(pfile)]) == 0
+        blob = pfile.read_bytes()
+        assert blob[:4] == b"GBc1" and len(blob) == 16 + 8 * 8
 
     def test_four_row_example(self, tmp_path):
         pfile = tmp_path / "p.csv"
@@ -385,6 +392,39 @@ def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.split() == ["False", "False"]
     assert [load_json(tmp_path / f"v{i}.json")["passed"] for i in range(len(runs))] == [True] * 3
+
+
+@pytest.mark.parametrize("backend", ["naive", "indexed"])
+@pytest.mark.parametrize("gauge, rows", [
+    # same-label pairs 1e300 or more apart: the kernel overflows to +inf
+    ("hinge:L=1e-300", "c0,c1,label\n1e300,-1e300,1\n-1e300,1e300,1\n1e300,1e300,-1\n"
+                       "-1e300,-1e300,-1\n0,0,1\n1e-10,0,1\n1e300,-1e300,-1\n"),
+    # distances near 1e100: their square times 1e300 overflows to +inf
+    ("smooth:gamma=1e300,lambda=1", "c0\n0\n1e-10\n1e100\n-2e100\n1\n3e100\n"),
+], ids=["hinge", "smooth"])
+def test_overflow_to_inf_is_silent(tmp_path, backend, gauge, rows):
+    pfile = tmp_path / "p.csv"
+    pfile.write_text(rows)
+    args = ["estimate", "--in", str(pfile), "--gauge", gauge, "--tau", "1", "--t", "0.5",
+            "--backend", backend]
+    assert run([*args, "--out", str(tmp_path / "a.json"),
+                "--dump-profile", str(tmp_path / "a.csv")]) == 0
+    src = os.path.dirname(os.path.dirname(gaugebounds.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gaugebounds.cli",
+                           *args, "--out", str(tmp_path / "b.json"),
+                           "--dump-profile", str(tmp_path / "b.csv")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    reports = [load_json(tmp_path / f"{side}.json") for side in "ab"]
+    for report in reports:
+        del report["generated_at"]
+    assert reports[0] == reports[1]
+    profile = (tmp_path / "a.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == profile
+    mins = [line.split(b",")[2] for line in profile.splitlines()[1:]]
+    assert b"inf" in mins and any(m != b"inf" for m in mins)
 
 
 class TestMalformedSpecs:

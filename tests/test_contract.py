@@ -35,9 +35,6 @@ from gaugebounds.geometry import (
 )
 from test_screen import adversarial_coords
 
-# huge coordinates overflow the kernel and the smooth gauges to +inf
-pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 

@@ -158,7 +158,6 @@ def test_zero_contrast_template_keeps_its_message():
         embed(emb, SamplePath.from_coords([[0.3]]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_huge_template_values_fail_loudly():
     # finite, but the image's sum of squares overflows to +inf
     emb = EmbeddingSpec.raster_rotation(template=TEMPLATE_16 * 1e300)
@@ -166,7 +165,6 @@ def test_huge_template_values_fail_loudly():
         embed(emb, SamplePath.from_coords([[0.3]]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_image_in_a_later_block():
     # the huge corner pixel leaves the grid under an eighth turn, so only
     # the one unrotated image overflows

@@ -249,8 +249,8 @@ class TestStationaryOracle:
 class TestPathIO:
     def roundtrip(self, path, tmp_path, fmt):
         f = tmp_path / f"path.{fmt}"
-        pathio.write_path(path, f, fmt)
-        return pathio.read_path(f, fmt)
+        pathio.write_path(path, f)
+        return pathio.read_path(f)
 
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
     def test_coords_roundtrip_bit_exact(self, tmp_path, fmt):

@@ -5,11 +5,10 @@ The inputs aim at the screen's error bound: large offsets from the origin
 (cancellation in the Gram form), coordinates near 1e-160 and subnormals
 (underflow in the kernel and in the screen), exact duplicates, -0.0,
 grid-valued coordinates (exact distance ties) and one-ulp perturbations
-(near ties).  Small tiles exercise the multi-block and multi-chunk paths
-that only paths longer than a tile reach with the default sizes, and a
-patched cluster count puts several clusters (or one per row) in front of
-the screen at the small sizes drawn here, at D in {1, 2, 8} as well as
-D >= 16.
+(near ties).  Small tiles exercise the multi-block paths that only paths
+longer than a tile reach with the default sizes, and a patched cluster
+count puts several clusters (or one per row) in front of the screen at the
+small sizes drawn here, at D in {1, 2, 8} as well as D >= 16.
 """
 
 from contextlib import ExitStack
@@ -30,10 +29,6 @@ from gaugebounds import (
 )
 from gaugebounds import geometry
 from gaugebounds.processes import EmbeddingSpec, ProcessSpec, embed, simulate
-
-# huge coordinates overflow the kernel and the smooth gauges to +inf, in
-# both backends
-pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 SETTINGS = settings(max_examples=120, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -78,7 +73,7 @@ def adversarial_coords(draw, dims=(16, 256)):
     return x
 
 
-tiles = st.sampled_from([None, (3, 6), (5, 10), (8, 8)])
+tiles = st.sampled_from([None, 6, 10, 8])
 # None keeps the derived count (about sqrt(n)); 3 forces a few clusters and
 # 1000 a centre on every distinct row
 clusters = st.sampled_from([None, 3, 1000])
@@ -87,9 +82,7 @@ clusters = st.sampled_from([None, 3, 1000])
 def _patched(tile, n_clusters):
     stack = ExitStack()
     if tile is not None:
-        cols, cells = tile
-        stack.enter_context(mock.patch.multiple(
-            geometry, _MAX_COLS=cols, _TILE=cells, _EXACT_BATCH=2 * 256))
+        stack.enter_context(mock.patch.multiple(geometry, _TILE=tile, _EXACT_BATCH=2 * 256))
     if n_clusters is not None:
         stack.enter_context(mock.patch.object(geometry, "_n_clusters", lambda n: n_clusters))
     return stack
@@ -179,6 +172,20 @@ def test_low_dimension_prefix_with_boundary_exceptions(coords, kind, seed, tile,
        seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
 def test_low_dimension_leave_one_out_matches_oracle(coords, kind, seed, tile, n_clusters):
     _check_leave_one_out(coords, kind, seed, (tile, n_clusters))
+
+
+def test_one_cluster_of_more_than_4096_candidates():
+    # with one centre, each tile is a block of queries against all 4200 rows
+    rng = np.random.default_rng(9)
+    path = SamplePath.from_coords(np.round(rng.standard_normal((4200, 3)) * 4.0) / 4.0)
+    gauge = GaugeSpec.lipschitz(1.0)
+    prefix = prefix_min_indexed(path, gauge, 3, backend=PrefixNNBackend.naive()).mins
+    loo = leave_one_out_min(path, gauge, PrefixNNBackend.naive())
+    with _patched(None, 1):
+        indexed = PrefixNNBackend.metric_indexed()
+        assert np.array_equal(_bits(prefix_min_indexed(path, gauge, 3, backend=indexed).mins),
+                              _bits(prefix))
+        assert np.array_equal(_bits(leave_one_out_min(path, gauge, indexed)), _bits(loo))
 
 
 def test_screen_evaluates_about_one_pair_per_row_on_spread_data():
