@@ -293,7 +293,9 @@ def risk_bound_with_exceptions(
     h, rest = entropy_penalty(alpha, n_eff)
     estimator = 2.0 * g_value
     mixing_term = class_bounds.sup_f * mixing.phi_tau
-    confidence = _E * class_bounds.sup_g * ((rest + math.log(1.0 / delta)) / n_eff)
+    # martingale_tail_threshold's order of operations, so alpha = 0 gives
+    # risk_bound's confidence term bit for bit
+    confidence = class_bounds.sup_g * (_E * (rest + math.log(1.0 / delta)) / n_eff)
     entropy = _E * class_bounds.sup_g * h
     return BoundReport(
         kind="risk_with_exceptions",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -55,7 +56,9 @@ logger = logging.getLogger(__name__)
 
 
 class _SpecKeys(dict):
-    """The key=value pairs of one spec; a missing required key names the spec."""
+    """The key=value pairs of one spec.  A parser pops each key it reads, so
+    the keys left over were never read.  A key given twice fails, and a
+    missing required key names the spec."""
 
     def __init__(self, text: str, body: str):
         super().__init__()
@@ -65,74 +68,100 @@ class _SpecKeys(dict):
         for item in body.split(","):
             if "=" not in item:
                 raise ValueError(f"expected key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            self[key.strip()] = value.strip()
+            key, value = (part.strip() for part in item.split("=", 1))
+            if key in self:
+                raise ValueError(f"spec {text!r} repeats the key {key!r}")
+            self[key] = value
 
-    def __missing__(self, key):
-        raise ValueError(f"spec {self.text!r} is missing the key {key!r}")
+    def pop(self, key, *default):
+        if key not in self and not default:
+            raise ValueError(f"spec {self.text!r} is missing the key {key!r}")
+        return super().pop(key, *default)
 
 
-def _split_spec(text: str) -> tuple[str, dict]:
-    name, _, body = text.partition(":")
-    return name.strip().lower(), _SpecKeys(text, body)
+def _spec_parser(parse):
+    """Turns parse(name, keys, ...) into a parser of the whole spec text
+    that rejects a key parse did not read."""
+    @functools.wraps(parse)
+    def parser(text: str, *args, **kwargs):
+        name, _, body = text.partition(":")
+        kv = _SpecKeys(text, body)
+        spec = parse(name.strip().lower(), kv, *args, **kwargs)
+        if kv:
+            raise ValueError(f"spec {text!r} has the unknown key {next(iter(kv))!r}")
+        return spec
+    return parser
 
 
-def parse_process(text: str, seed: int = 0) -> ProcessSpec:
+@_spec_parser
+def parse_process(name: str, kv: _SpecKeys, seed: int = 0) -> ProcessSpec:
     """cycle:N=100,p=0.5 | circle:zeta=0.38,p=0.1 | torus:zeta1=..,zeta2=..,p=..
     | iid:space=circle[,N=..]  (zeta values default to the built-in irrationals)"""
-    name, kv = _split_spec(text)
     if name == "cycle":
-        return ProcessSpec.cycle_chain(int(kv["N"]), float(kv["p"]), seed=seed)
+        return ProcessSpec.cycle_chain(int(kv.pop("N")), float(kv.pop("p")), seed=seed)
     if name == "circle":
-        kwargs = {"p": float(kv.get("p", 0.0)), "seed": seed}
+        kwargs = {"p": float(kv.pop("p", 0.0)), "seed": seed}
         if "zeta" in kv:
-            kwargs["zeta"] = float(kv["zeta"])
+            kwargs["zeta"] = float(kv.pop("zeta"))
         return ProcessSpec.circle_rotation(**kwargs)
     if name == "torus":
-        kwargs = {"p": float(kv.get("p", 0.0)), "seed": seed}
+        kwargs = {"p": float(kv.pop("p", 0.0)), "seed": seed}
         if "zeta1" in kv:
-            kwargs["zeta1"] = float(kv["zeta1"])
+            kwargs["zeta1"] = float(kv.pop("zeta1"))
         if "zeta2" in kv:
-            kwargs["zeta2"] = float(kv["zeta2"])
+            kwargs["zeta2"] = float(kv.pop("zeta2"))
         return ProcessSpec.torus_rotation(**kwargs)
     if name == "iid":
-        n_states = int(kv["N"]) if "N" in kv else None
-        return ProcessSpec.iid_uniform(kv["space"], n_states=n_states, seed=seed)
+        n_states = int(kv.pop("N")) if "N" in kv else None
+        return ProcessSpec.iid_uniform(kv.pop("space"), n_states=n_states, seed=seed)
     raise ValueError(f"unknown process {name!r}")
 
 
-def parse_gauge(text: str) -> GaugeSpec:
+@_spec_parser
+def parse_gauge(name: str, kv: _SpecKeys) -> GaugeSpec:
     """lipschitz:L=1[,metric=discrete] | discrete | smooth:gamma=..,lambda=..
     | regression:L=.. | hinge:L=.. | local-lipschitz:r0=.. | local-smooth:c=.."""
-    name, kv = _split_spec(text)
     if name == "lipschitz":
-        return GaugeSpec.lipschitz(float(kv["L"]), metric=kv.get("metric", "euclidean"))
+        return GaugeSpec.lipschitz(float(kv.pop("L")), metric=kv.pop("metric", "euclidean"))
     if name == "discrete":
         return GaugeSpec.discrete()
     if name == "smooth":
-        return GaugeSpec.smooth(float(kv["gamma"]), float(kv["lambda"]))
+        return GaugeSpec.smooth(float(kv.pop("gamma")), float(kv.pop("lambda")))
     if name == "regression":
-        return GaugeSpec.regression(float(kv["L"]))
+        return GaugeSpec.regression(float(kv.pop("L")))
     if name == "hinge":
-        return GaugeSpec.hinge_classification(float(kv["L"]))
+        return GaugeSpec.hinge_classification(float(kv.pop("L")))
     if name in ("local-lipschitz", "local_lipschitz"):
-        return GaugeSpec.local_lipschitz_truncated(float(kv["r0"]))
+        return GaugeSpec.local_lipschitz_truncated(float(kv.pop("r0")))
     if name in ("local-smooth", "local_smooth"):
-        return GaugeSpec.local_smooth(float(kv["c"]))
+        return GaugeSpec.local_smooth(float(kv.pop("c")))
     raise ValueError(f"unknown gauge {name!r}")
 
 
-def parse_embedding(text: str) -> EmbeddingSpec:
+@_spec_parser
+def parse_embedding(name: str, kv: _SpecKeys) -> EmbeddingSpec:
     """identity | fourier:D=8 | raster[:scaling=true]"""
-    name, kv = _split_spec(text)
     if name == "identity":
         return EmbeddingSpec.identity()
     if name == "fourier":
-        return EmbeddingSpec.fourier(int(kv["D"]))
+        return EmbeddingSpec.fourier(int(kv.pop("D")))
     if name == "raster":
-        scaling = kv.get("scaling", "false").lower() in ("1", "true", "yes")
+        scaling = kv.pop("scaling", "false").lower() in ("1", "true", "yes")
         return EmbeddingSpec.raster_rotation(with_scaling=scaling)
     raise ValueError(f"unknown embedding {name!r}")
+
+
+@_spec_parser
+def _parse_chain(name: str, kv: _SpecKeys) -> IidBernoulli | MarkovModulatedBernoulli:
+    """martingale: iid:q=.. | mmb:stay0=..,stay1=..,q0=..,q1=.."""
+    if name == "iid":
+        return IidBernoulli(q=float(kv.pop("q")))
+    if name == "mmb":
+        return MarkovModulatedBernoulli(
+            stay0=float(kv.pop("stay0")), stay1=float(kv.pop("stay1")),
+            q0=float(kv.pop("q0")), q1=float(kv.pop("q1")),
+        )
+    raise ValueError(f"unknown chain {name!r}")
 
 
 def _json_default(obj):
@@ -243,40 +272,29 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+# the settings each validate check echoes in its report's config, in order
+_VALIDATE_CONFIG = {
+    "martingale": ("chain", "n", "delta", "trials", "seed"),
+    "coverage": ("process", "embedding", "L", "t", "tau", "n", "delta", "trials", "mc_fresh",
+                 "seed"),
+    "good-turing": ("symbols", "n", "t", "trials", "seed"),
+}
+
+
 def _cmd_validate(args) -> int:
     if args.check == "martingale":
-        name, kv = _split_spec(args.chain)
-        if name == "iid":
-            chain = IidBernoulli(q=float(kv["q"]))
-        elif name == "mmb":
-            chain = MarkovModulatedBernoulli(
-                stay0=float(kv["stay0"]), stay1=float(kv["stay1"]),
-                q0=float(kv["q0"]), q1=float(kv["q1"]),
-            )
-        else:
-            raise ValueError(f"unknown chain {name!r}")
-        config = {"chain": args.chain, "n": args.n, "delta": args.delta,
-                  "trials": args.trials, "seed": args.seed}
-        rep = validate_martingale_tail(chain, args.n, args.delta, args.trials, seed=args.seed)
-        payload = {"check": "martingale", "config": config, **asdict(rep)}
+        rep = validate_martingale_tail(_parse_chain(args.chain), args.n, args.delta, args.trials,
+                                       seed=args.seed)
     elif args.check == "coverage":
-        proc = parse_process(args.process)
-        emb = parse_embedding(args.embedding)
-        config = {"process": args.process, "embedding": args.embedding, "L": args.L,
-                  "t": args.t, "tau": args.tau, "n": args.n, "delta": args.delta,
-                  "trials": args.trials, "mc_fresh": args.mc_fresh, "seed": args.seed}
         rep = validate_excess_loss_coverage(
-            proc, emb, L=args.L, t=args.t, tau=args.tau, n=args.n,
-            delta=args.delta, trials=args.trials, mc_fresh=args.mc_fresh,
-            seed=args.seed, threads=args.threads,
+            parse_process(args.process), parse_embedding(args.embedding), L=args.L, t=args.t,
+            tau=args.tau, n=args.n, delta=args.delta, trials=args.trials,
+            mc_fresh=args.mc_fresh, seed=args.seed, threads=args.threads,
         )
-        payload = {"check": "coverage", "config": config, **asdict(rep)}
     else:
-        config = {"symbols": args.symbols, "n": args.n, "t": args.t,
-                  "trials": args.trials, "seed": args.seed}
         rep = validate_good_turing(args.symbols, args.n, args.t, args.trials, seed=args.seed)
-        payload = {"check": "good-turing", "config": config, **asdict(rep)}
-    _write_json(payload, args.out)
+    config = {name: getattr(args, name) for name in _VALIDATE_CONFIG[args.check]}
+    _write_json({"check": args.check, "config": config, **asdict(rep)}, args.out)
     return 0
 
 
@@ -365,9 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(func=_cmd_bound)
 
     val = sub.add_parser("validate", help="run a Monte Carlo validator")
-    val.add_argument("--check", choices=("martingale", "coverage", "good-turing"), required=True)
-    val.add_argument("--chain", default="iid:q=0.3",
-                     help="martingale: iid:q=.. | mmb:stay0=..,stay1=..,q0=..,q1=..")
+    val.add_argument("--check", choices=tuple(_VALIDATE_CONFIG), required=True)
+    val.add_argument("--chain", default="iid:q=0.3", help=_parse_chain.__doc__)
     val.add_argument("--process", default="iid:space=circle")
     val.add_argument("--embedding", default="identity")
     val.add_argument("--L", type=float, default=1.0)

@@ -42,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GaugeSpec, SamplePath, admissible_mins, check_gauge_path
+from .bounds import _n_eff
+from .geometry import GaugeSpec, SamplePath, _check_parameters, admissible_mins, check_gauge_path
 
 __all__ = [
     "ExceptionSet",
@@ -98,10 +99,6 @@ class ExceptionSet:
         return len(self.indices) / self.n_eff
 
     @classmethod
-    def empty(cls, n_eff: int) -> "ExceptionSet":
-        return cls(indices=(), n_eff=n_eff)
-
-    @classmethod
     def worst_phi(cls, phi_values, alpha: float) -> "ExceptionSet":
         """Exclude the alpha * n_eff positions with the largest penalty
         values.  alpha * n_eff must scale to an integer count; ties break
@@ -151,13 +148,8 @@ def _prefix_problem(
     (queries, limits, keep) of geometry: entry j queries row tau + j and sees
     the rows i <= j outside the exception set.  Every backend validates
     through here."""
-    n = len(path)
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    if tau >= n:
-        raise ValueError(f"tau={tau} must be smaller than the path length {n}")
+    n_eff = _n_eff(len(path), tau)
     check_gauge_path(gauge, path)
-    n_eff = n - tau
     keep = None
     if exceptions is not None:
         if exceptions.n_eff != n_eff:
@@ -271,8 +263,7 @@ def missing_mass_G(profile: PrefixGaugeProfile) -> float:
 
 def missing_mass_Gt(profile: PrefixGaugeProfile, t: float) -> float:
     """Fraction of prefix minima strictly above t (+inf entries count)."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive, got {t}")
+    _check_parameters(t=t)
     return float(np.count_nonzero(profile.mins > t)) / profile.mins.size
 
 
@@ -305,8 +296,7 @@ def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
     With the Lipschitz gauge the usual convention measures isolation at a
     loss level t; pass threshold = t / L (equivalently use L = 1).
     """
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    _check_parameters(threshold=threshold)
     if gauge.kind != "lipschitz":
         raise ValueError("good_turing needs a metric gauge: lipschitz, on either base metric")
     loo = _loo_mins(path, gauge, None)
@@ -324,7 +314,8 @@ class FiniteSupport:
         probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
         if probs.shape != (len(self.support),):
             raise ValueError("one probability per support point required")
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+        # written so that a NaN entry fails: every comparison with NaN is False
+        if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must be nonnegative and sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -339,6 +330,8 @@ class SamplerOracle:
 
 @dataclass(frozen=True)
 class MissingMassEstimate:
+    """A missing mass and its standard error, which is 0 when exact."""
+
     value: float
     std_error: float
     exact: bool
@@ -380,8 +373,7 @@ def true_missing_mass(
     Exact by enumeration for finite support; Monte Carlo with a binomial
     standard error otherwise.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive, got {t}")
+    _check_parameters(t=t)
     if isinstance(oracle, FiniteSupport):
         gaps = _min_gauge_to_path(gauge, path, oracle.support)
         value = float(oracle.probs[gaps > t].sum())

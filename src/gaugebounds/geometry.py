@@ -218,10 +218,21 @@ class SamplePath:
         )
 
 
-def _check_parameters(**values: float) -> None:
+def _check_parameters(**values: float | None) -> None:
     for name, value in values.items():
-        if not 0.0 < value < math.inf:
+        if value is None or not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+# the parameters each gauge kind reads, all finite and positive
+_PARAMETERS = {
+    "lipschitz": ("L",),
+    "regression": ("L",),
+    "hinge": ("L",),
+    "smooth": ("gamma", "lam"),
+    "local_lipschitz": ("r0",),
+    "local_smooth": ("c",),
+}
 
 
 @dataclass(frozen=True)
@@ -242,35 +253,30 @@ class GaugeSpec:
         if self.metric == "discrete" and self.kind != "lipschitz":
             raise ValueError(f"only the lipschitz gauge takes the discrete base metric, "
                              f"not {self.kind!r}")
+        _check_parameters(**{name: getattr(self, name) for name in _PARAMETERS.get(self.kind, ())})
 
     @classmethod
     def lipschitz(cls, L: float, metric: str = "euclidean") -> "GaugeSpec":
-        _check_parameters(L=L)
         return cls(kind="lipschitz", L=float(L), metric=metric)
 
     @classmethod
     def regression(cls, L: float) -> "GaugeSpec":
-        _check_parameters(L=L)
         return cls(kind="regression", L=float(L))
 
     @classmethod
     def hinge_classification(cls, L: float) -> "GaugeSpec":
-        _check_parameters(L=L)
         return cls(kind="hinge", L=float(L))
 
     @classmethod
     def smooth(cls, gamma: float, lam: float) -> "GaugeSpec":
-        _check_parameters(gamma=gamma, lam=lam)
         return cls(kind="smooth", gamma=float(gamma), lam=float(lam))
 
     @classmethod
     def local_lipschitz_truncated(cls, r0: float) -> "GaugeSpec":
-        _check_parameters(r0=r0)
         return cls(kind="local_lipschitz", r0=float(r0))
 
     @classmethod
     def local_smooth(cls, c: float) -> "GaugeSpec":
-        _check_parameters(c=c)
         return cls(kind="local_smooth", c=float(c))
 
     @classmethod
@@ -1133,8 +1139,8 @@ def greedy_cover(points: SamplePath | Sequence[Point], gauge: GaugeSpec, eps: fl
     to all current members stays <= eps.  The part count upper-estimates the
     minimal cover number of the point set at scale eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:   # NaN fails too; eps = +inf is one part
+        raise ValueError(f"eps must be positive, got {eps}")
     path = points if isinstance(points, SamplePath) else SamplePath.from_points(list(points))
     n = len(path)
     dist = pairwise_gauge(gauge, path)

@@ -72,7 +72,7 @@ class ProcessSpec:
     zeta1: float | None = None     # torus increments
     zeta2: float | None = None
     reset_p: float | None = None   # reset probability p
-    space: str | None = None       # iid: "cycle" | "circle" | "torus"
+    space: str | None = None       # phase space: an iid's choice, a chain's kind
 
     def __post_init__(self):
         if self.kind not in ("cycle", "circle", "torus", "iid"):
@@ -88,6 +88,10 @@ class ProcessSpec:
                 raise ValueError("iid space must be 'cycle', 'circle' or 'torus'")
             if self.space == "cycle" and (self.n_states is None or self.n_states < 2):
                 raise ValueError("iid on the cycle needs n_states >= 2")
+        elif self.space in (None, self.kind):
+            object.__setattr__(self, "space", self.kind)
+        else:
+            raise ValueError(f"a {self.kind} chain moves on the {self.kind}, not the {self.space}")
 
     @classmethod
     def cycle_chain(cls, n_states: int, p: float, seed: int = 0) -> "ProcessSpec":
@@ -122,19 +126,18 @@ class ProcessSpec:
 
     @property
     def phase_dim(self) -> int:
-        kind = self.space if self.kind == "iid" else self.kind
-        return {"cycle": 0, "circle": 1, "torus": 2}[kind]
+        return {"cycle": 0, "circle": 1, "torus": 2}[self.space]
 
 
-def _philox(ss: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(ss))
+def _philox(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """Philox generator of SeedSequence(seed), or of seed if it is one."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _draw_uniform(spec: ProcessSpec, gen: np.random.Generator, m: int):
-    kind = spec.space if spec.kind == "iid" else spec.kind
-    if kind == "cycle":
+    if spec.space == "cycle":
         return gen.integers(0, spec.n_states, size=m, dtype=np.int64)
-    if kind == "circle":
+    if spec.space == "circle":
         return gen.random(m)
     return gen.random((m, 2))
 
@@ -380,17 +383,14 @@ def stationary_oracle(spec: ProcessSpec, emb: EmbeddingSpec | None = None):
     sampler otherwise.
     """
     emb = emb or EmbeddingSpec.identity()
-    kind = spec.space if spec.kind == "iid" else spec.kind
-    if kind == "cycle":
+    if spec.space == "cycle":
         support = SamplePath.from_symbols(np.arange(spec.n_states, dtype=np.int64))
         support = embed(emb, support)
         probs = np.full(spec.n_states, 1.0 / spec.n_states)
         return FiniteSupport(support=support, probs=probs)
 
-    phase_dim = 1 if kind == "circle" else 2
-
     def draw(rng: np.random.Generator, m: int) -> SamplePath:
-        phase = SamplePath.from_coords(rng.random((m, phase_dim)))
+        phase = SamplePath.from_coords(rng.random((m, spec.phase_dim)))
         return embed(emb, phase)
 
     return SamplerOracle(draw=draw)
@@ -426,18 +426,18 @@ def empirical_lipschitz(
     emb: EmbeddingSpec,
     n_pairs: int = 1000,
     seed: int = 0,
-    near_scale: float = 1e-3,
 ) -> float:
     """Largest observed ratio of embedded distance to phase distance over
-    seeded random pairs (half of them near pairs probing the local slope)."""
+    seeded random pairs (half of them near pairs, within 5e-4 per
+    coordinate, probing the local slope)."""
     if emb.phase_dim is None:
         raise ValueError("identity embedding has no fixed phase space to sample")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     d = emb.phase_dim
     a = rng.random((n_pairs, d))
     b = rng.random((n_pairs, d))
     half = n_pairs // 2
-    b[:half] = (a[:half] + near_scale * (rng.random((half, d)) - 0.5)) % 1.0
+    b[:half] = (a[:half] + 1e-3 * (rng.random((half, d)) - 0.5)) % 1.0
     ea = embed(emb, SamplePath.from_coords(a)).coords
     eb = embed(emb, SamplePath.from_coords(b)).coords
     diff = ea - eb

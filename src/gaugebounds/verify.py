@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MixingProfile, excess_loss_probability_bound
+from .bounds import MixingProfile, excess_loss_probability_bound, martingale_tail_threshold
 from .estimators import (
     FiniteSupport,
     PrefixNNBackend,
@@ -31,8 +31,9 @@ from .estimators import (
     prefix_min_profile,
     true_missing_mass,
 )
-from .geometry import GaugeSpec
-from .processes import EmbeddingSpec, ProcessSpec, embed, mixing_bounds, mixing_time, simulate, stationary_oracle
+from .geometry import GaugeSpec, SamplePath, _check_parameters
+from .processes import (EmbeddingSpec, ProcessSpec, _philox, embed, mixing_bounds, mixing_time,
+                        simulate, stationary_oracle)
 
 __all__ = [
     "TrialReport",
@@ -205,10 +206,6 @@ def _report(violations: int, trials: int, target: float) -> TrialReport:
     )
 
 
-def _philox(entropy) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
 def _check_count(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
@@ -274,12 +271,8 @@ def validate_martingale_tail(
     fraction of trials."""
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    threshold = martingale_tail_threshold(n, delta)
     rng = _philox(seed)
-    threshold = math.e * math.log(1.0 / delta) / n
 
     if isinstance(chain, IidBernoulli):
         emissions = rng.random((trials, n)) < chain.q
@@ -343,8 +336,7 @@ def validate_excess_loss_coverage(
         mixing = mixing_bounds(proc, tau)
     emb = emb or EmbeddingSpec.identity()
     oracle = stationary_oracle(proc, emb)
-    metric = "discrete" if (proc.kind == "cycle" or proc.space == "cycle") and \
-        emb.kind == "identity" else "euclidean"
+    metric = "discrete" if proc.space == "cycle" and emb.kind == "identity" else "euclidean"
     gauge = GaugeSpec.lipschitz(L, metric=metric)
     seeds = _trial_seeds(seed, 2 * trials)
 
@@ -353,15 +345,10 @@ def validate_excess_loss_coverage(
         profile = prefix_min_profile(path, gauge, tau)
         gt = missing_mass_Gt(profile, t)
         rhs = excess_loss_probability_bound(gt, mixing, n, delta).total
-        head = path.head(n - tau)
-        if isinstance(oracle, FiniteSupport):
-            truth = true_missing_mass(head, gauge, t, oracle)
-            slack = 0.0
-        else:
-            rng = _philox(int(seeds[trials + i]))
-            truth = true_missing_mass(head, gauge, t, oracle, n_mc=mc_fresh, rng=rng)
-            slack = 3.0 * truth.std_error
-        return truth.value - slack > rhs
+        # exact on a finite support, where the generator goes unused
+        truth = true_missing_mass(path.head(n - tau), gauge, t, oracle, n_mc=mc_fresh,
+                                  rng=_philox(int(seeds[trials + i])))
+        return truth.value - 3.0 * truth.std_error > rhs
 
     if threads <= 1:
         flags = [one_trial(i) for i in range(trials)]
@@ -407,14 +394,10 @@ def validate_good_turing(
         raise ValueError("need at least 2 symbols")
     if n < 2:
         raise ValueError("need n >= 2")
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    _check_parameters(threshold=threshold)
     if probs is None:
         probs = np.full(n_symbols, 1.0 / n_symbols)
-    else:
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != (n_symbols,) or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be a distribution over the symbols")
+    probs = FiniteSupport(SamplePath.from_symbols(np.arange(n_symbols)), probs).probs
     rng = _philox(seed)
     if threshold >= 1.0:
         # no pair of distinct symbols is farther than 1, nothing is isolated

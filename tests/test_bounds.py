@@ -191,11 +191,19 @@ class TestRiskBoundWithExceptions:
     CB = ClassBounds(sup_f=1.0, sup_g=1.0)
 
     def test_alpha_zero_reduces_to_risk_bound(self):
-        mix = MixingProfile(tau=2, phi_tau=0.03)
-        plain = risk_bound(0.07, self.CB, mix, n=102, delta=0.05)
-        tolerant = risk_bound_with_exceptions(0.07, self.CB, mix, n=102, delta=0.05, alpha=0.0)
-        assert tolerant.total == pytest.approx(plain.total, rel=1e-12)
-        assert tolerant.entropy_term == 0.0
+        # exactly, as the docstring says: same terms, same floats
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            tau = int(rng.integers(1, 50))
+            n = tau + int(rng.integers(1, 5000))
+            mix = MixingProfile(tau=tau, phi_tau=float(rng.random()))
+            cb = ClassBounds(sup_f=float(rng.uniform(0.0, 10.0)), sup_g=float(rng.uniform(0.0, 10.0)))
+            g, delta = float(rng.uniform(0.0, 5.0)), float(rng.uniform(1e-12, 1.0))
+            plain = risk_bound(g, cb, mix, n=n, delta=delta)
+            tolerant = risk_bound_with_exceptions(g, cb, mix, n=n, delta=delta, alpha=0.0)
+            assert tolerant.confidence_term == plain.confidence_term
+            assert tolerant.total == plain.total
+            assert tolerant.entropy_term == 0.0
 
     def test_frozen_example(self):
         mix = MixingProfile(tau=1, phi_tau=0.0)

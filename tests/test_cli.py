@@ -510,6 +510,30 @@ class TestMalformedSpecs:
         assert err["message"].startswith(f"{name} must be finite and positive, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, spec, message", [
+        (["simulate", "--process", "circle:p=0.1,zeta1=0.3", "--n", "8"],
+         "circle:p=0.1,zeta1=0.3", "has the unknown key 'zeta1'"),
+        (["simulate", "--process", "cycle:N=5,p=0.1,p=0.2", "--n", "8"],
+         "cycle:N=5,p=0.1,p=0.2", "repeats the key 'p'"),
+        (["study", "--process", "circle:p=0.5", "--gauge", "lipschitz:L=1,l=3", "--tau", "1",
+          "--sizes", "16"], "lipschitz:L=1,l=3", "has the unknown key 'l'"),
+        (["study", "--process", "circle:p=0.5", "--gauge", "lipschitz:L=1,L=2", "--tau", "1",
+          "--sizes", "16"], "lipschitz:L=1,L=2", "repeats the key 'L'"),
+        (["simulate", "--process", "circle:p=0.5", "--embedding", "fourier:D=8,dim=4",
+          "--n", "8"], "fourier:D=8,dim=4", "has the unknown key 'dim'"),
+        (["simulate", "--process", "circle:p=0.5", "--embedding", "fourier:D=8,D=4",
+          "--n", "8"], "fourier:D=8,D=4", "repeats the key 'D'"),
+        (["validate", "--check", "martingale", "--chain", "iid:q=0.3,p=0.1", "--trials", "100"],
+         "iid:q=0.3,p=0.1", "has the unknown key 'p'"),
+        (["validate", "--check", "martingale", "--chain", "iid:q=0.3,q=0.1", "--trials", "100"],
+         "iid:q=0.3,q=0.1", "repeats the key 'q'"),
+    ])
+    def test_spec_takes_each_key_it_reads_once(self, capsys, tmp_path, args, spec, message):
+        out = tmp_path / "out.csv"
+        err = self.error_of(capsys, args + ["--out", str(out)])
+        assert err == {"type": "ValueError", "message": f"spec {spec!r} {message}"}
+        assert not out.exists()
+
     def test_estimate_parses_specs_before_reading(self, capsys, tmp_path):
         err = self.error_of(capsys, ["estimate", "--in", str(tmp_path / "missing.csv"),
                                      "--gauge", "lipschitz:L=", "--tau", "1"])

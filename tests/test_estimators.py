@@ -230,6 +230,13 @@ class TestTrueMissingMass:
         with pytest.raises(ValueError, match="rng"):
             true_missing_mass(line_path(0.0), LIP, 0.1, oracle, n_mc=10)
 
+    @pytest.mark.parametrize("probs", [[0.5, math.nan, 0.5], [math.nan] * 3,
+                                       [math.inf, 0.0, 0.0], [0.5, 0.6, -0.1]])
+    def test_support_probabilities_must_be_a_distribution(self, probs):
+        # a NaN would make the missing mass NaN, and no bound comparison fails on NaN
+        with pytest.raises(ValueError, match="probs must be nonnegative and sum to 1"):
+            FiniteSupport(support=SamplePath.from_symbols([0, 1, 2]), probs=probs)
+
     def test_lipschitz_class_supremum_identity(self):
         # the scaled gap-to-path function attains the excess-loss supremum:
         # checking it is L-Lipschitz and that its isolation probability equals

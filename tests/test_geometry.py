@@ -129,6 +129,18 @@ class TestGaugeProperties:
             with pytest.raises(ValueError, match=f"discrete base metric, not '{kind}'"):
                 GaugeSpec(kind=kind, metric="discrete")
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"kind": "lipschitz", "L": -1.0}, "L"),
+        ({"kind": "regression"}, "L"),
+        ({"kind": "hinge", "L": math.inf}, "L"),
+        ({"kind": "smooth", "gamma": 1.0}, "lam"),
+        ({"kind": "local_lipschitz", "r0": math.nan}, "r0"),
+        ({"kind": "local_smooth", "c": 0.0}, "c"),
+    ])
+    def test_direct_construction_checks_parameters(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+            GaugeSpec(**fields)
+
     def test_sup_gauge(self):
         assert GaugeSpec.discrete().sup_gauge(7.0) == 1.0
         assert GaugeSpec.lipschitz(2.0).sup_gauge(3.0) == 6.0
@@ -218,8 +230,14 @@ class TestGreedyCover:
         assert greedy_cover(pts, GaugeSpec.lipschitz(1.0), 0.1).n_parts == 1
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            greedy_cover(SamplePath.from_coords([[0.0]]), GaugeSpec.lipschitz(1.0), 0.0)
+        path = SamplePath.from_coords(np.random.default_rng(3).random((10, 1)))
+        for eps in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                greedy_cover(path, GaugeSpec.lipschitz(1.0), eps)
+
+    def test_infinite_eps_is_one_part(self):
+        path = SamplePath.from_coords(np.random.default_rng(3).random((10, 1)))
+        assert greedy_cover(path, GaugeSpec.lipschitz(1.0), math.inf).n_parts == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_exhaustive_oracle(self, seed):

@@ -227,6 +227,18 @@ class TestEmbeddings:
         assert empirical_lipschitz(emb, n_pairs=600, seed=4) <= hi * (1 + 1e-9)
 
 
+class TestPhaseSpace:
+    def test_a_chain_moves_on_its_kind(self):
+        assert ProcessSpec.cycle_chain(8, 0.5).space == "cycle"
+        assert ProcessSpec.circle_rotation(p=0.5).space == "circle"
+        assert ProcessSpec.torus_rotation(p=0.5).with_seed(3).space == "torus"
+        assert ProcessSpec.iid_uniform("torus").space == "torus"
+
+    def test_a_chain_on_another_space_is_rejected(self):
+        with pytest.raises(ValueError, match="a circle chain moves on the circle, not the torus"):
+            ProcessSpec(kind="circle", zeta=0.3, reset_p=0.5, space="torus")
+
+
 class TestStationaryOracle:
     def test_cycle_gives_finite_support(self):
         oracle = stationary_oracle(ProcessSpec.cycle_chain(8, 0.5))

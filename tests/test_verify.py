@@ -206,6 +206,11 @@ class TestGoodTuring:
         rep = validate_good_turing(6, 50, 1.0, trials=100, seed=1)
         assert rep.rms == 0.0 and rep.passed
 
+    @pytest.mark.parametrize("probs", [[0.5, math.nan, 0.5], [0.5, 0.5], [0.7, 0.7, -0.4]])
+    def test_probs_checked_as_a_finite_support(self, probs):
+        with pytest.raises(ValueError, match="probs must be nonnegative|one probability per"):
+            validate_good_turing(3, 50, 0.5, trials=10, probs=probs)
+
     def test_nonuniform_distribution(self):
         probs = np.array([0.5, 0.2, 0.1, 0.1, 0.05, 0.05])
         rep = validate_good_turing(6, 80, 0.5, trials=300, seed=2, probs=probs)
