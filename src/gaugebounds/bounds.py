@@ -28,17 +28,29 @@ Also included: the worst-case missing-mass tail driven by covering numbers,
 
 vacuous (+inf) when the floor term is <= 1.
 
-Pure arithmetic throughout; a report derives its total, the float sum of its
-terms in the order estimator + mixing + confidence + entropy, and vacuity.
+The dependence coefficient phi_tau comes either declared by the caller or
+derived from a reset chain: ProcessSpec describes the chain (simulated by
+processes), and because one reset anywhere inside a gap of tau steps makes
+the conditional law exactly stationary, mixing_bounds reports
+phi(tau) = alpha(tau) = (1 - p)^tau.
+
+Pure arithmetic throughout, with no numpy, so evaluating a bound loads
+nothing else; a report derives its total, the float sum of its terms in the
+order estimator + mixing + confidence + entropy, and vacuity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "MixingProfile",
+    "ProcessSpec",
+    "ZETA_GOLDEN",
+    "ZETA_SILVER",
+    "mixing_time",
+    "mixing_bounds",
     "ClassBounds",
     "BoundReport",
     "martingale_tail_threshold",
@@ -84,6 +96,106 @@ class MixingProfile:
     @classmethod
     def iid(cls) -> "MixingProfile":
         return cls(tau=1, phi_tau=0.0, alpha_tau=0.0, provenance="declared")
+
+
+ZETA_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # 1/phi^2 = 0.3819660...
+ZETA_SILVER = math.sqrt(2.0) - 1.0           # 0.4142135...
+
+
+@dataclass(frozen=True)
+class ProcessSpec:
+    """Generative description of one stationary process plus its seed."""
+
+    kind: str                      # "cycle" | "circle" | "torus" | "iid"
+    seed: int = 0
+    n_states: int | None = None    # cycle (and iid on the cycle)
+    zeta: float | None = None      # circle increment
+    zeta1: float | None = None     # torus increments
+    zeta2: float | None = None
+    reset_p: float | None = None   # reset probability p
+    space: str | None = None       # phase space: an iid's choice, a chain's kind
+
+    def __post_init__(self):
+        if self.kind not in ("cycle", "circle", "torus", "iid"):
+            raise ValueError(f"unknown process kind {self.kind!r}")
+        if self.kind != "iid":
+            p = self.reset_p
+            if p is None or not 0.0 <= p <= 1.0:
+                raise ValueError("reset probability must lie in [0, 1]")
+        if self.kind == "cycle" and (self.n_states is None or self.n_states < 2):
+            raise ValueError("cycle chain needs at least 2 states")
+        if self.kind == "iid":
+            if self.space not in ("cycle", "circle", "torus"):
+                raise ValueError("iid space must be 'cycle', 'circle' or 'torus'")
+            if self.space == "cycle" and (self.n_states is None or self.n_states < 2):
+                raise ValueError("iid on the cycle needs n_states >= 2")
+        elif self.space in (None, self.kind):
+            object.__setattr__(self, "space", self.kind)
+        else:
+            raise ValueError(f"a {self.kind} chain moves on the {self.kind}, not the {self.space}")
+
+    @classmethod
+    def cycle_chain(cls, n_states: int, p: float, seed: int = 0) -> "ProcessSpec":
+        return cls(kind="cycle", n_states=int(n_states), reset_p=float(p), seed=seed)
+
+    @classmethod
+    def circle_rotation(cls, zeta: float = ZETA_GOLDEN, p: float = 0.0, seed: int = 0) -> "ProcessSpec":
+        if not 0.0 <= zeta < 1.0:
+            raise ValueError("zeta must lie in [0, 1)")
+        return cls(kind="circle", zeta=float(zeta), reset_p=float(p), seed=seed)
+
+    @classmethod
+    def torus_rotation(cls, zeta1: float = ZETA_GOLDEN, zeta2: float = ZETA_SILVER,
+                       p: float = 0.0, seed: int = 0) -> "ProcessSpec":
+        for z in (zeta1, zeta2):
+            if not 0.0 <= z < 1.0:
+                raise ValueError("increments must lie in [0, 1)")
+        return cls(kind="torus", zeta1=float(zeta1), zeta2=float(zeta2),
+                   reset_p=float(p), seed=seed)
+
+    @classmethod
+    def iid_uniform(cls, space: str, n_states: int | None = None, seed: int = 0) -> "ProcessSpec":
+        return cls(kind="iid", space=space, n_states=n_states, seed=seed)
+
+    def with_seed(self, seed: int) -> "ProcessSpec":
+        return replace(self, seed=int(seed))
+
+    def with_reset_p(self, p: float) -> "ProcessSpec":
+        if self.kind == "iid":
+            raise ValueError("iid processes have no reset probability")
+        return replace(self, reset_p=float(p))
+
+    @property
+    def phase_dim(self) -> int:
+        return {"cycle": 0, "circle": 1, "torus": 2}[self.space]
+
+
+def mixing_time(p: float, eps: float = 0.1) -> int | None:
+    """Smallest tau with (1 - p)^tau <= eps; None when p = 0, 1 when p = 1."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if p == 0.0:
+        return None
+    if p == 1.0:
+        return 1
+    tau = max(1, math.ceil(math.log(eps) / math.log(1.0 - p) - 1e-12))
+    while (1.0 - p) ** tau > eps:
+        tau += 1
+    while tau > 1 and (1.0 - p) ** (tau - 1) <= eps:
+        tau -= 1
+    return tau
+
+
+def mixing_bounds(spec: ProcessSpec, tau: int) -> MixingProfile:
+    """Coupling bound phi(tau) = alpha(tau) = (1 - p)^tau for reset chains."""
+    if spec.kind == "iid":
+        raise ValueError("iid processes carry no reset coupling; use MixingProfile.iid()")
+    if tau < 1:
+        raise ValueError("tau must be a positive integer")
+    coeff = (1.0 - spec.reset_p) ** tau
+    return MixingProfile(tau=tau, phi_tau=coeff, alpha_tau=coeff, provenance="chain-derived")
 
 
 @dataclass(frozen=True)
@@ -264,6 +376,16 @@ def entropy_penalty(alpha: float, n_eff: int) -> tuple[float, float]:
     return h, rest
 
 
+def _exception_count(alpha: float, n_eff: int) -> int:
+    """The number alpha * n_eff of excluded positions, which must be an
+    integer up to 1e-9."""
+    count_f = alpha * n_eff
+    count = round(count_f)
+    if abs(count_f - count) > 1e-9:
+        raise ValueError(f"alpha * n_eff = {count_f} is not an integer")
+    return count
+
+
 def risk_bound_with_exceptions(
     g_value: float,
     class_bounds: ClassBounds,
@@ -287,9 +409,7 @@ def risk_bound_with_exceptions(
     _check_delta(delta)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    count_f = alpha * n_eff
-    if abs(count_f - round(count_f)) > 1e-9:
-        raise ValueError(f"alpha * (n - tau) = {count_f} is not an integer")
+    _exception_count(alpha, n_eff)
     h, rest = entropy_penalty(alpha, n_eff)
     estimator = 2.0 * g_value
     mixing_term = class_bounds.sup_f * mixing.phi_tau

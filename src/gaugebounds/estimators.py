@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import _n_eff
+from .bounds import _exception_count, _n_eff
 from .geometry import GaugeSpec, SamplePath, _check_parameters, admissible_mins, check_gauge_path
 
 __all__ = [
@@ -107,10 +107,7 @@ class ExceptionSet:
         if phi.ndim != 1 or phi.size == 0:
             raise ValueError("phi_values must be a nonempty 1-d array")
         n_eff = phi.size
-        count_f = alpha * n_eff
-        count = int(round(count_f))
-        if abs(count_f - count) > 1e-9:
-            raise ValueError(f"alpha * n_eff = {count_f} is not an integer")
+        count = _exception_count(alpha, n_eff)
         if not 0 <= count < n_eff:
             raise ValueError("alpha must lie in [0, 1) after scaling by n_eff")
         order = np.argsort(-phi, kind="stable")

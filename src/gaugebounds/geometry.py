@@ -248,12 +248,14 @@ class GaugeSpec:
     c: float | None = None
 
     def __post_init__(self):
+        if self.kind not in _PARAMETERS:
+            raise ValueError(f"unknown gauge kind {self.kind!r}")
         if self.metric not in ("euclidean", "discrete"):
             raise ValueError("base metric must be 'euclidean' or 'discrete'")
         if self.metric == "discrete" and self.kind != "lipschitz":
             raise ValueError(f"only the lipschitz gauge takes the discrete base metric, "
                              f"not {self.kind!r}")
-        _check_parameters(**{name: getattr(self, name) for name in _PARAMETERS.get(self.kind, ())})
+        _check_parameters(**{name: getattr(self, name) for name in _PARAMETERS[self.kind]})
 
     @classmethod
     def lipschitz(cls, L: float, metric: str = "euclidean") -> "GaugeSpec":
@@ -631,7 +633,6 @@ def _euclid_min_screened(
         np.ldexp(z, s, out=z)
         norms = np.einsum("ij,ij->i", z, z)
         centres, nearest, lam = _farthest_point_centres(z, norms, _n_clusters(n))
-        del z
         k = centres.size
         screened = n * k
         exact = 0
@@ -653,7 +654,13 @@ def _euclid_min_screened(
         key = np.where(member, nearest, k)
         perm = np.argsort(key, kind="stable")
         bounds = np.searchsorted(key[perm], np.arange(k + 1))
-        z = coords[perm]
+        # the same values in cluster order, written over the traversal's copy.
+        # Freeing that copy and allocating another of its size raised peak
+        # RSS: the free lifts glibc's dynamic mmap threshold above the size,
+        # so the new copy came from the heap, which keeps freed pages. perm is
+        # in range, so mode="clip" clips nothing; it lets take write straight
+        # into z instead of through a temporary
+        np.take(coords, perm, axis=0, out=z, mode="clip")
         z -= mid
         np.ldexp(z, s, out=z)
         norms, rho = norms[perm], rho[perm]

@@ -12,7 +12,10 @@ law exactly stationary, the dependence coefficients obey
 
     phi(tau) <= (1 - p)^tau        (and likewise alpha(tau)),
 
-which mixing_bounds reports as a chain-derived profile.
+which mixing_bounds reports as a chain-derived profile.  ProcessSpec, the
+default increments and the mixing functions need no numpy; they live in
+bounds, which evaluates a bound without loading numpy, and are re-exported
+here.
 
 Randomness.  All draws come from numpy's Philox counter-based generator.
 A simulator derives three sub-streams from its seed by SeedSequence spawning
@@ -32,12 +35,12 @@ orbits); recurrence behavior is measured, not assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._template import TEMPLATE_16
-from .bounds import MixingProfile
+from .bounds import ZETA_GOLDEN, ZETA_SILVER, ProcessSpec, mixing_bounds, mixing_time
 from .estimators import FiniteSupport, SamplerOracle
 from .geometry import SamplePath
 
@@ -56,78 +59,6 @@ __all__ = [
     "fourier_lipschitz_bracket",
     "empirical_lipschitz",
 ]
-
-ZETA_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # 1/phi^2 = 0.3819660...
-ZETA_SILVER = math.sqrt(2.0) - 1.0           # 0.4142135...
-
-
-@dataclass(frozen=True)
-class ProcessSpec:
-    """Generative description of one stationary process plus its seed."""
-
-    kind: str                      # "cycle" | "circle" | "torus" | "iid"
-    seed: int = 0
-    n_states: int | None = None    # cycle (and iid on the cycle)
-    zeta: float | None = None      # circle increment
-    zeta1: float | None = None     # torus increments
-    zeta2: float | None = None
-    reset_p: float | None = None   # reset probability p
-    space: str | None = None       # phase space: an iid's choice, a chain's kind
-
-    def __post_init__(self):
-        if self.kind not in ("cycle", "circle", "torus", "iid"):
-            raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.kind != "iid":
-            p = self.reset_p
-            if p is None or not 0.0 <= p <= 1.0:
-                raise ValueError("reset probability must lie in [0, 1]")
-        if self.kind == "cycle" and (self.n_states is None or self.n_states < 2):
-            raise ValueError("cycle chain needs at least 2 states")
-        if self.kind == "iid":
-            if self.space not in ("cycle", "circle", "torus"):
-                raise ValueError("iid space must be 'cycle', 'circle' or 'torus'")
-            if self.space == "cycle" and (self.n_states is None or self.n_states < 2):
-                raise ValueError("iid on the cycle needs n_states >= 2")
-        elif self.space in (None, self.kind):
-            object.__setattr__(self, "space", self.kind)
-        else:
-            raise ValueError(f"a {self.kind} chain moves on the {self.kind}, not the {self.space}")
-
-    @classmethod
-    def cycle_chain(cls, n_states: int, p: float, seed: int = 0) -> "ProcessSpec":
-        return cls(kind="cycle", n_states=int(n_states), reset_p=float(p), seed=seed)
-
-    @classmethod
-    def circle_rotation(cls, zeta: float = ZETA_GOLDEN, p: float = 0.0, seed: int = 0) -> "ProcessSpec":
-        if not 0.0 <= zeta < 1.0:
-            raise ValueError("zeta must lie in [0, 1)")
-        return cls(kind="circle", zeta=float(zeta), reset_p=float(p), seed=seed)
-
-    @classmethod
-    def torus_rotation(cls, zeta1: float = ZETA_GOLDEN, zeta2: float = ZETA_SILVER,
-                       p: float = 0.0, seed: int = 0) -> "ProcessSpec":
-        for z in (zeta1, zeta2):
-            if not 0.0 <= z < 1.0:
-                raise ValueError("increments must lie in [0, 1)")
-        return cls(kind="torus", zeta1=float(zeta1), zeta2=float(zeta2),
-                   reset_p=float(p), seed=seed)
-
-    @classmethod
-    def iid_uniform(cls, space: str, n_states: int | None = None, seed: int = 0) -> "ProcessSpec":
-        return cls(kind="iid", space=space, n_states=n_states, seed=seed)
-
-    def with_seed(self, seed: int) -> "ProcessSpec":
-        return replace(self, seed=int(seed))
-
-    def with_reset_p(self, p: float) -> "ProcessSpec":
-        if self.kind == "iid":
-            raise ValueError("iid processes have no reset probability")
-        return replace(self, reset_p=float(p))
-
-    @property
-    def phase_dim(self) -> int:
-        return {"cycle": 0, "circle": 1, "torus": 2}[self.space]
-
 
 def _philox(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Philox generator of SeedSequence(seed), or of seed if it is one."""
@@ -197,34 +128,6 @@ def simulate(spec: ProcessSpec, n: int, start=None) -> SamplePath:
     start overrides the drawn initial state (test hook; the path is no longer
     stationary at position 0 when forced)."""
     return simulate_with_details(spec, n, start=start)[0]
-
-
-def mixing_time(p: float, eps: float = 0.1) -> int | None:
-    """Smallest tau with (1 - p)^tau <= eps; None when p = 0, 1 when p = 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if p == 0.0:
-        return None
-    if p == 1.0:
-        return 1
-    tau = max(1, math.ceil(math.log(eps) / math.log(1.0 - p) - 1e-12))
-    while (1.0 - p) ** tau > eps:
-        tau += 1
-    while tau > 1 and (1.0 - p) ** (tau - 1) <= eps:
-        tau -= 1
-    return tau
-
-
-def mixing_bounds(spec: ProcessSpec, tau: int) -> MixingProfile:
-    """Coupling bound phi(tau) = alpha(tau) = (1 - p)^tau for reset chains."""
-    if spec.kind == "iid":
-        raise ValueError("iid processes carry no reset coupling; use MixingProfile.iid()")
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    coeff = (1.0 - spec.reset_p) ** tau
-    return MixingProfile(tau=tau, phi_tau=coeff, alpha_tau=coeff, provenance="chain-derived")
 
 
 # ---------------------------------------------------------------------------

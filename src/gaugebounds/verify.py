@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MixingProfile, excess_loss_probability_bound, martingale_tail_threshold
+from .bounds import (
+    MixingProfile,
+    ProcessSpec,
+    excess_loss_probability_bound,
+    martingale_tail_threshold,
+    mixing_bounds,
+    mixing_time,
+)
 from .estimators import (
     FiniteSupport,
     PrefixNNBackend,
@@ -32,8 +39,7 @@ from .estimators import (
     true_missing_mass,
 )
 from .geometry import GaugeSpec, SamplePath, _check_parameters
-from .processes import (EmbeddingSpec, ProcessSpec, _philox, embed, mixing_bounds, mixing_time,
-                        simulate, stationary_oracle)
+from .processes import EmbeddingSpec, _philox, embed, simulate, stationary_oracle
 
 __all__ = [
     "TrialReport",

@@ -212,7 +212,7 @@ class TestRiskBoundWithExceptions:
 
     def test_non_integer_exception_count_rejected(self):
         mix = MixingProfile(tau=1, phi_tau=0.0)
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=r"^alpha \* n_eff = 1\.5 is not an integer$"):
             risk_bound_with_exceptions(0.0, self.CB, mix, n=101, delta=0.05, alpha=0.015)
 
     def test_penalty_decreases_to_risk_bound_as_alpha_shrinks(self):

@@ -48,6 +48,11 @@ class TestSpecParsers:
         assert parse_embedding("identity").kind == "identity"
         assert parse_embedding("fourier:D=8").dim == 8
         assert parse_embedding("raster:scaling=true").with_scaling
+        for value in ("1", "TRUE", "Yes"):
+            assert parse_embedding(f"raster:scaling={value}").with_scaling
+        for value in ("0", "False", "NO"):
+            assert not parse_embedding(f"raster:scaling={value}").with_scaling
+        assert not parse_embedding("raster").with_scaling
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
@@ -465,6 +470,15 @@ class TestMalformedSpecs:
                                      "raster:scaling", "--n", "16", "--trials", "2",
                                      "--out", str(out)])
         assert err == {"type": "ValueError", "message": "expected key=value, got 'scaling'"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "on"])
+    def test_scaling_takes_only_an_on_off_word(self, capsys, tmp_path, value):
+        out = tmp_path / "p.csv"
+        err = self.error_of(capsys, ["simulate", "--process", "torus:p=0.5", "--embedding",
+                                     f"raster:scaling={value}", "--n", "8", "--out", str(out)])
+        assert err == {"type": "ValueError",
+                       "message": f"scaling must be 1/0/true/false/yes/no, got {value!r}"}
         assert not out.exists()
 
     def test_study(self, capsys, tmp_path):

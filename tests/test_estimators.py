@@ -319,5 +319,5 @@ class TestExceptionSet:
         assert exc.indices == (1, 3)   # stable tie-break toward the earlier index
 
     def test_worst_phi_fraction_must_scale_to_integer(self):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=r"^alpha \* n_eff = 1\.5 is not an integer$"):
             ExceptionSet.worst_phi(np.array([0.1, 0.2, 0.3]), alpha=0.5)

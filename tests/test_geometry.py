@@ -141,6 +141,10 @@ class TestGaugeProperties:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
             GaugeSpec(**fields)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown gauge kind 'tv'$"):
+            GaugeSpec(kind="tv")
+
     def test_sup_gauge(self):
         assert GaugeSpec.discrete().sup_gauge(7.0) == 1.0
         assert GaugeSpec.lipschitz(2.0).sup_gauge(3.0) == 6.0
