@@ -27,8 +27,11 @@ def python(*args):
 
 
 def report_digest(path):
-    text = re.sub(r'^\s*"generated_at".*$', "", path.read_text(), flags=re.M)
-    return hashlib.sha256(text.encode()).hexdigest()
+    """sha256 of a file's bytes without its generated_at line and its work
+    counter, distance_evaluations (test_contract.py pins the counters)."""
+    text = re.sub(rb'^\s*"(generated_at|distance_evaluations)".*$', b"", path.read_bytes(),
+                  flags=re.M)
+    return hashlib.sha256(text).hexdigest()
 
 
 def test_importing_the_package_loads_no_submodule():
