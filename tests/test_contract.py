@@ -202,6 +202,7 @@ def _table_paths():
     labels = np.where(rng.random(n) < 0.5, -1, 1)
     return {
         "coords": SamplePath.from_coords(coords),
+        "coords-d1": SamplePath.from_coords(coords[:, :1]),
         "symbol": SamplePath.from_symbols(rng.integers(0, 12, n)),
         "labeled": SamplePath.from_labeled(coords, labels),
         "paired": SamplePath.from_paired(coords, rng.standard_normal(n)),
@@ -213,6 +214,10 @@ TABLE_GAUGES = {
     "smooth": (GaugeSpec.smooth(1.5, 0.7), "coords"),
     "local_lipschitz": (GaugeSpec.local_lipschitz_truncated(0.3), "coords"),
     "local_smooth": (GaugeSpec.local_smooth(1.2), "coords"),
+    "lipschitz-d1": (GaugeSpec.lipschitz(1.5), "coords-d1"),
+    "smooth-d1": (GaugeSpec.smooth(1.5, 0.7), "coords-d1"),
+    "local_lipschitz-d1": (GaugeSpec.local_lipschitz_truncated(0.3), "coords-d1"),
+    "local_smooth-d1": (GaugeSpec.local_smooth(1.2), "coords-d1"),
     "hinge": (GaugeSpec.hinge_classification(2.0), "labeled"),
     "regression": (GaugeSpec.regression(1.25), "paired"),
     "discrete": (GaugeSpec.discrete(), "symbol"),
@@ -221,7 +226,8 @@ TABLE_GAUGES = {
 }
 
 # (distance_evaluations, screened_pairs) for prefix minima at tau = 2 (n_eff =
-# 38), the same with exceptions {1, 5, 37}, and leave-one-out minima, n = 40.
+# 38), the same with exceptions {1, 5, 37}, and leave-one-out minima, n = 40,
+# at D = 3 and on the first coordinate alone (D = 1).
 # Naive: the admissible sums 38 * 39 / 2 = 741 and 741 - (37 + 33 + 1) = 670,
 # and n (n - 1) = 1560.  Discrete index: one evaluation per query, n_eff or n.
 # Screen: the certified screen's own counts on this data, which depend on the
@@ -230,11 +236,16 @@ TABLE_GAUGES = {
 NAIVE = ((741, 0), (670, 0), (1560, 0))
 DISCRETE_INDEX = ((38, 0), (38, 0), (40, 0))
 SCREEN = ((1014, 916), (1026, 931), (1214, 1082))
+SCREEN_D1 = ((646, 564), (616, 540), (702, 622))
 COUNTS = {
     "lipschitz": SCREEN,
     "smooth": SCREEN,
     "local_lipschitz": SCREEN,
     "local_smooth": SCREEN,
+    "lipschitz-d1": SCREEN_D1,
+    "smooth-d1": SCREEN_D1,
+    "local_lipschitz-d1": SCREEN_D1,
+    "local_smooth-d1": SCREEN_D1,
     "hinge": ((1256, 1159), (1217, 1123), (1456, 1329)),
     "regression": NAIVE,
     "discrete": DISCRETE_INDEX,
