@@ -14,7 +14,6 @@ import csv
 import functools
 import importlib.util
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict
@@ -23,16 +22,18 @@ from pathlib import Path as FsPath
 
 
 def _lazy_module(name: str):
-    """The package's module `name`, registered in sys.modules as a stub that
-    runs the module on its first attribute access (importlib.util.LazyLoader).
-    On Python 3.10 and 3.11 that first access is not locked, so a handler
-    touches every module it uses before it starts a thread pool."""
+    """The package's module `name`, registered in sys.modules and bound on
+    the package, as an imported submodule is, as a stub that runs the module
+    on its first attribute access (importlib.util.LazyLoader).  On Python
+    3.10 and 3.11 that first access is not locked, so a handler touches
+    every module it uses before it starts a thread pool."""
     full = f"{__package__}.{name}"
     if full not in sys.modules:
         spec = importlib.util.find_spec(full)
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
         sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
         spec.loader.exec_module(module)
     return sys.modules[full]
 
@@ -46,8 +47,6 @@ bounds, estimators, geometry, pathio, processes, verify = map(
 _lazy_module("nnindex")
 
 __all__ = ["main", "parse_process", "parse_gauge", "parse_embedding"]
-
-logger = logging.getLogger(__name__)
 
 
 class _SpecKeys(dict):
@@ -166,24 +165,12 @@ def _parse_chain(name: str, kv: _SpecKeys) -> verify.IidBernoulli | verify.Marko
     raise ValueError(f"unknown chain {name!r}")
 
 
-def _json_default(obj):
-    # a numpy value exists only once numpy is loaded, and `bound` never loads it
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def _write_json(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    # a NaN or infinity has no JSON token: fail rather than write one
-    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
+    # reports hold plain Python values; a NaN, an infinity or a numpy value
+    # fails the command rather than being written
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out:
         FsPath(out).write_text(text)
     else:
@@ -433,7 +420,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as err:  # every failure leaves as the JSON error, exit 1
-        logger.debug("command failed", exc_info=True)
         message = {"error": {"type": type(err).__name__, "message": str(err)}}
         sys.stderr.write(json.dumps(message) + "\n")
         return 1

@@ -391,7 +391,18 @@ class FunctionSample:
 # square, the square root and every distance_transform are nondecreasing.
 # The kernel's minimum over a sorted set therefore sits at the largest
 # element below q or the smallest at or above it, ties included (+-0.0
-# differences square to the same +0.0).
+# differences square to the same +0.0).  Under the discrete metric any
+# order with equal keys adjacent will do: when the set holds a point equal
+# to q, the query's nearest element on one side lies in that point's run.
+#
+# _order_min takes each query's nearest admissible row on either side in
+# that order.  Where some candidate lies at or past some limit, _first_below
+# lifts over a sparse table of window minima (Bender & Farach-Colton 2000):
+# level k holds the least row index of the 2^k sorted positions from each
+# one on, so a window whose least row is at or past the query's limit holds
+# no admissible row, and jumping over such windows, largest first, lands on
+# the first admissible position.  Where every candidate lies below every
+# limit (the truth and leave-one-out), nothing is lifted.
 # ---------------------------------------------------------------------------
 
 _TILE = 1 << 18          # float64 entries per kernel or screen buffer (2 MB)
@@ -915,9 +926,9 @@ def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarra
 # Every estimator is a minimum from a query point to a set of admissible path
 # rows, stated as (queries, limits, keep, skip_self): query r sees the rows
 # i < limits[r] with keep[i] (a bool mask over path rows, or None for all)
-# and, under skip_self, i != queries[r].  Four kernels answer it, each with
-# its evaluation count: _naive_mins (the gauge_block oracle), _discrete_min
-# (key occurrences), _sorted_min (D = 1 sorted neighbours) and
+# and, under skip_self, i != queries[r].  Three kernels answer it, each with
+# its evaluation count: _naive_mins (the gauge_block oracle), _order_min
+# (sorted neighbours at D = 1 and under the discrete metric) and
 # _euclid_min_screened (the certified screen).  admissible_mins is the one
 # place that picks among them.  A query without candidates gets +inf.
 # ---------------------------------------------------------------------------
@@ -985,52 +996,51 @@ def _naive_mins(
     return mins, int(upto.sum()) - int(np.count_nonzero(own >= 0))
 
 
-def _discrete_min(
-    path: SamplePath,
-    queries: np.ndarray,
-    limits: np.ndarray,
-    keep: np.ndarray | None = None,
-    skip_self: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Discrete-metric minima: 0.0 where an admissible row equals the query,
-    else 1.0 (+inf without candidates), from the first two admissible
-    occurrences of each distinct point; one evaluation per query."""
-    if path.kind == "symbol":
-        keys = path.symbols
-    else:
-        # +0.0 folds -0.0 onto +0.0, so equal bytes mean equal points
-        rows = np.ascontiguousarray(path.coords + 0.0)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    distinct, ids = np.unique(keys, return_inverse=True)
-    cand, upto, own = _candidates(queries, limits, keep, skip_self)
-    # each point's first and second admissible rows; len(path) where missing
-    first, second = np.full((2, distinct.size), len(path))
-    np.minimum.at(first, ids[cand], cand)
-    rest = cand[first[ids[cand]] != cand]
-    np.minimum.at(second, ids[rest], rest)
-    q = ids[queries]
-    match = first[q]
-    if skip_self:
-        # a query that is its point's first admissible row sees the second
-        match = np.where(match == queries, second[q], match)
-    out = np.where(upto > (own >= 0), 1.0, np.inf)
-    out[match < limits] = 0.0
-    return out, queries.size
+def _first_below(rows: np.ndarray, start: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Per query, the first position p >= start[r] with rows[p] < limits[r],
+    len(rows) where none: binary lifting over window minima of rows."""
+    m = rows.size
+    table = [np.append(rows, limits.max())]     # the end lies past every limit
+    while 1 << len(table) <= m:
+        mins, step = table[-1], 1 << (len(table) - 1)
+        table.append(np.minimum(mins, mins[np.minimum(np.arange(m + 1) + step, m)]))
+    for k in range(len(table) - 1, -1, -1):
+        start = np.where(table[k][start] >= limits, np.minimum(start + (1 << k), m), start)
+    return start
 
 
-def _sorted_min(coords: np.ndarray, queries: np.ndarray, top: int) -> tuple[np.ndarray, int]:
-    """D = 1 minima of _euclid_row over the rows i < top, which every query
-    sees, from each query's predecessor and successor among the sorted rows
-    (the argument above _euclid_row); two evaluations per query."""
-    if top == 0:
+def _order_min(path: SamplePath, discrete: bool, queries: np.ndarray, limits: np.ndarray,
+               keep: np.ndarray | None = None, skip_self: bool = False) -> tuple[np.ndarray, int]:
+    """D = 1 or discrete-metric minima from each query's nearest admissible rows on
+    either side in key order (the argument above _euclid_row); two evaluations per query."""
+    top = int(limits.max())
+    cand = np.arange(top) if keep is None else np.flatnonzero(keep[:top])
+    if cand.size == 0:
         return np.full(queries.size, np.inf), 0
-    xs = np.sort(coords[:top, 0])
-    q = coords[queries]
-    # searchsorted puts the rows below q before pos, the rest after
-    pos = np.searchsorted(xs, q[:, 0])
-    below = xs[np.maximum(pos - 1, 0), None]
-    above = xs[np.minimum(pos, xs.size - 1), None]
-    return np.minimum(_euclid_row(below, q), _euclid_row(above, q)), 2 * queries.size
+    key = path.symbols if path.kind == "symbol" else path.coords[:, 0]
+    if path.dim > 1:
+        # the discrete metric; with -0.0 folded onto +0.0, equal bytes are equal points
+        pts = np.ascontiguousarray(path.coords + 0.0)
+        key = pts.view(np.dtype((np.void, pts.itemsize * path.dim))).ravel()
+    rows = cand[np.argsort(key[cand])]
+    keys, q, end = key[rows], key[queries], rows.size
+    # each query's insertion point (searched in key order: faster), or its own row under skip_self
+    by_key = np.argsort(q)
+    start = np.empty_like(by_key)
+    start[by_key] = np.searchsorted(keys, q[by_key])
+    pos = np.full(len(path), -1)
+    pos[rows] = np.arange(end)
+    mine = (pos[queries] >= 0) & skip_self
+    start[mine] = pos[queries[mine]]
+    mins = np.full(queries.size, np.inf)
+    # the left side is the right side of the reversed order (lifting: above _euclid_row)
+    for order, ks, p in ((rows[::-1], keys[::-1], end - start), (rows, keys, start + mine)):
+        if cand[-1] >= limits.min():
+            p = _first_below(order, p, limits)
+        at = ks[np.minimum(p, end - 1)]
+        d = (at != q) * 1.0 if discrete else _euclid_row(at[:, None], path.coords[queries])
+        np.minimum(mins, np.where(p == end, np.inf, d), out=mins)
+    return mins, 2 * queries.size
 
 
 def admissible_mins(
@@ -1048,22 +1058,18 @@ def admissible_mins(
 
     naive, and the regression gauge on either kind, take _naive_mins.  The
     indexed kind minimizes the base metric and applies the nondecreasing
-    distance_transform once, to the minimum: _discrete_min where
-    gauge.metric is discrete, _sorted_min at D = 1 where every query sees
-    the same rows and no keep mask or labels gate them (the truth's shape),
-    and _euclid_min_screened (hinge labels masking pairs) otherwise.  Every
-    kernel returns the oracle's floats, so both kinds give the same minima
-    bit for bit.
+    distance_transform once, to the minimum: _order_min where gauge.metric
+    is discrete and at D = 1 without hinge labels, and _euclid_min_screened
+    (hinge labels masking pairs) otherwise.  Every kernel returns the
+    oracle's floats, so both kinds give the same minima bit for bit.
     """
     if kind == "naive" or gauge.kind == "regression":
         mins, evaluations = _naive_mins(gauge, path, queries, limits, keep, skip_self)
         return mins, evaluations, 0
     screened = 0
-    if gauge.metric == "discrete":
-        dmins, evaluations = _discrete_min(path, queries, limits, keep, skip_self)
-    elif (path.dim == 1 and gauge.kind != "hinge" and keep is None and not skip_self
-          and (limits == limits[0]).all()):
-        dmins, evaluations = _sorted_min(path.coords, queries, int(limits[0]))
+    if gauge.metric == "discrete" or (path.dim == 1 and gauge.kind != "hinge"):
+        dmins, evaluations = _order_min(path, gauge.metric == "discrete", queries, limits, keep,
+                                        skip_self)
     else:
         labels = path.labels if gauge.kind == "hinge" else None
         dmins, screened, exact = _euclid_min_screened(

@@ -3,7 +3,7 @@
 A problem is (queries, limits, keep, skip_self): query r sees the path rows
 i < limits[r] with keep[i] and, under skip_self, i != queries[r].  The
 reference below spells that out one query at a time through gauge_block.
-_naive_mins, _discrete_min and _euclid_min_screened, and admissible_mins on
+_naive_mins, _order_min and _euclid_min_screened, and admissible_mins on
 both backend kinds, must return its minima bit for bit, +inf for a query
 without candidates, on every problem shape the estimators pose (prefix
 minima with and without exception sets, leave-one-out, the truth's fresh
@@ -26,9 +26,9 @@ from gaugebounds import (
 )
 from gaugebounds.estimators import _min_gauge_to_path
 from gaugebounds.geometry import (
-    _discrete_min,
     _euclid_min_screened,
     _naive_mins,
+    _order_min,
     admissible_mins,
     distance_transform,
     gauge_block,
@@ -129,9 +129,9 @@ def test_discrete_min_matches_the_oracle(coords, name, symbols, shape, seed):
     gauge = DISCRETE[name]
     queries, limits, keep, skip_self, split = _problem(shape, len(path), rng)
     expected, _ = _oracle(gauge, path, queries, limits, keep, skip_self)
-    dmins, count = _discrete_min(path, queries, limits, keep, skip_self)
+    dmins, count = _order_min(path, True, queries, limits, keep, skip_self)
     assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
-    assert count == queries.size
+    assert count == 2 * queries.size or (count == 0 and np.isinf(expected).all())
     _check_dispatch(gauge, path, (queries, limits, keep, skip_self), expected)
     if split is not None:
         _check_truth(gauge, path, split, expected)
@@ -175,20 +175,41 @@ def test_naive_and_screened_kernels_match_the_oracle(coords, name, shape, seed):
         _check_truth(gauge, path, split, expected)
 
 
-@pytest.mark.parametrize("name", ["lipschitz", "smooth", "local_lipschitz", "local_smooth"])
+D1 = ("lipschitz", "smooth", "local_lipschitz", "local_smooth")
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=(1,)), name=st.sampled_from(D1),
+       shape=st.sampled_from(SHAPES), seed=st.integers(0, 2 ** 16))
+def test_order_min_matches_the_oracle_at_d1(coords, name, shape, seed):
+    rng = np.random.default_rng(seed)
+    path = SamplePath.from_coords(_with_duplicates(coords, rng))
+    gauge = EUCLIDEAN[name]
+    problem = _problem(shape, len(path), rng)
+    expected, _ = _oracle(gauge, path, *problem[:4])
+    dmins, _ = _order_min(path, False, *problem[:4])
+    assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
+    mins, _, screened = admissible_mins(gauge, path, "indexed", *problem[:4])
+    assert np.array_equal(_bits(mins), _bits(expected))
+    assert screened == 0
+
+
+@pytest.mark.parametrize("name", D1)
 def test_shared_rows_at_d1_take_the_sorted_kernel(name):
-    # every query sees the rows below one limit, queries among them too, or
-    # no rows at all: the sorted neighbours, two evaluations per query
+    # every problem shape at D = 1 takes the sorted neighbours: two
+    # evaluations per query and none screened; none at all without candidates
     gauge = EUCLIDEAN[name]
     rng = np.random.default_rng(8)
     path = SamplePath.from_coords(np.round(rng.standard_normal((60, 1)), 1))
-    queries = rng.integers(0, 60, 45)
-    for limit in (40, 60, 1, 0):
-        limits = np.full(queries.size, limit)
-        expected, count = _oracle(gauge, path, queries, limits, None, False)
-        mins, evaluations, screened = admissible_mins(gauge, path, "indexed", queries, limits)
+    for shape in SHAPES * 5:
+        queries, limits, keep, skip_self, _split = _problem(shape, len(path), rng)
+        expected, count = _oracle(gauge, path, queries, limits, keep, skip_self)
+        mins, evaluations, screened = admissible_mins(gauge, path, "indexed", queries, limits,
+                                                      keep, skip_self)
         assert np.array_equal(_bits(mins), _bits(expected))
         assert (evaluations, screened) == ((2 * queries.size, 0) if count else (0, 0))
+    mins, evaluations, screened = admissible_mins(gauge, path, "indexed", queries, 0 * limits)
+    assert np.isinf(mins).all() and (evaluations, screened) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +250,28 @@ TABLE_GAUGES = {
 # 38), the same with exceptions {1, 5, 37}, and leave-one-out minima, n = 40,
 # at D = 3 and on the first coordinate alone (D = 1).
 # Naive: the admissible sums 38 * 39 / 2 = 741 and 741 - (37 + 33 + 1) = 670,
-# and n (n - 1) = 1560.  Discrete index: one evaluation per query, n_eff or n.
+# and n (n - 1) = 1560.  Order kernel (the discrete metric, and D = 1): two
+# evaluations per query, 2 n_eff or 2 n.
 # Screen: the certified screen's own counts on this data, which depend on the
 # coordinates and the hinge labels, not on the distance transform.  The
 # regression gauge takes the naive kernel on either backend.
 NAIVE = ((741, 0), (670, 0), (1560, 0))
-DISCRETE_INDEX = ((38, 0), (38, 0), (40, 0))
+ORDER = ((76, 0), (76, 0), (80, 0))
 SCREEN = ((1014, 916), (1026, 931), (1214, 1082))
-SCREEN_D1 = ((646, 564), (616, 540), (702, 622))
 COUNTS = {
     "lipschitz": SCREEN,
     "smooth": SCREEN,
     "local_lipschitz": SCREEN,
     "local_smooth": SCREEN,
-    "lipschitz-d1": SCREEN_D1,
-    "smooth-d1": SCREEN_D1,
-    "local_lipschitz-d1": SCREEN_D1,
-    "local_smooth-d1": SCREEN_D1,
+    "lipschitz-d1": ORDER,
+    "smooth-d1": ORDER,
+    "local_lipschitz-d1": ORDER,
+    "local_smooth-d1": ORDER,
     "hinge": ((1256, 1159), (1217, 1123), (1456, 1329)),
     "regression": NAIVE,
-    "discrete": DISCRETE_INDEX,
-    "discrete-coords": DISCRETE_INDEX,
-    "lipschitz-discrete": DISCRETE_INDEX,
+    "discrete": ORDER,
+    "discrete-coords": ORDER,
+    "lipschitz-discrete": ORDER,
 }
 
 

@@ -54,6 +54,17 @@ def test_every_lazy_name_is_its_defining_modules_object():
     assert python("-c", code).split() == [str(len(gaugebounds.__all__)), "True"]
 
 
+def test_cli_stubs_are_package_attributes():
+    # cli registers its modules as lazy stubs; each is also an attribute of
+    # the package, as an imported submodule is, and binding it runs nothing
+    out = python("-c", "import sys, gaugebounds.cli\n"
+                       "print(all(getattr(gaugebounds, m[12:]) is sys.modules[m]"
+                       " for m in sys.modules if m[:12] == 'gaugebounds.'), 'numpy' in sys.modules)\n"
+                       "import gaugebounds.nnindex\n"
+                       "print(gaugebounds.nnindex.prefix_min_indexed.__module__)")
+    assert out.split() == ["True", "False", "gaugebounds.estimators"]
+
+
 # sha256 of each bound report with its generated_at line blanked: the report
 # bytes are the command's contract, whatever it loads to write them
 BOUND_RUNS = {
