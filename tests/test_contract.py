@@ -185,13 +185,15 @@ def test_order_min_matches_the_oracle_at_d1(coords, name, shape, seed):
     rng = np.random.default_rng(seed)
     path = SamplePath.from_coords(_with_duplicates(coords, rng))
     gauge = EUCLIDEAN[name]
-    problem = _problem(shape, len(path), rng)
-    expected, _ = _oracle(gauge, path, *problem[:4])
-    dmins, _ = _order_min(path, False, *problem[:4])
+    *problem, split = _problem(shape, len(path), rng)
+    expected, _ = _oracle(gauge, path, *problem)
+    dmins, _ = _order_min(path, False, *problem)
     assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
-    mins, _, screened = admissible_mins(gauge, path, "indexed", *problem[:4])
+    mins, _, screened = admissible_mins(gauge, path, "indexed", *problem)
     assert np.array_equal(_bits(mins), _bits(expected))
     assert screened == 0
+    if split is not None:
+        _check_truth(gauge, path, split, expected)
 
 
 @pytest.mark.parametrize("name", D1)
@@ -210,6 +212,13 @@ def test_shared_rows_at_d1_take_the_sorted_kernel(name):
         assert (evaluations, screened) == ((2 * queries.size, 0) if count else (0, 0))
     mins, evaluations, screened = admissible_mins(gauge, path, "indexed", queries, 0 * limits)
     assert np.isinf(mins).all() and (evaluations, screened) == (0, 0)
+    # the last candidate row is the first query's limit, so its nearest row
+    # (row 1, equal to it) is not admissible to it
+    edge = SamplePath.from_coords([[0.0], [0.1], [0.1]])
+    queries, limits = np.array([2, 2]), np.array([1, 2])
+    expected, _ = _oracle(gauge, edge, queries, limits, None, False)
+    mins, _, _ = admissible_mins(gauge, edge, "indexed", queries, limits)
+    assert np.array_equal(_bits(mins), _bits(expected)) and expected[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
