@@ -1,5 +1,8 @@
-"""The output bytes of the commands whose minima run at D = 1 or on the
-discrete metric.
+"""The output bytes of simulate, estimate, coverage and a study.
+
+estimate runs on every kernel the indexed kind picks: the order kernel (D = 1
+and the discrete metric), the certified screen (a Fourier-8 path), hinge
+labels at D = 1 and D = 8, and the regression gauge at D = 2.
 
 Each output file's sha256, with its generated_at timestamp and its
 distance_evaluations work counter removed (test_contract.py pins the
@@ -14,22 +17,36 @@ from gaugebounds import SamplePath, read_path, write_path
 from gaugebounds.cli import main
 from test_lazy_imports import report_digest
 
-# the simulated paths: D = 1 coordinates and symbols
+# the simulated paths, (process, embedding): D = 1 coordinates, symbols, a
+# Fourier-8 circle and a torus at D = 2
 SIMULATE = {
-    "circle": "iid:space=circle",
-    "cycle": "cycle:N=12,p=0.3",
+    "circle": ("iid:space=circle", "identity"),
+    "cycle": ("cycle:N=12,p=0.3", "identity"),
+    "fourier8": ("circle:p=0.1", "fourier:D=8"),
+    "torus": ("torus:p=0.1", "identity"),
 }
 
-# gauges per path; "grid" is the circle path rounded to multiples of 1/8,
-# so its rows repeat and tie
+# gauges per path.  Paths derived from the simulated ones, with exact
+# arithmetic only: "grid" is the circle path rounded to multiples of 1/8, so
+# its rows repeat and tie; "hinge-d1" labels the circle path in stripes of
+# width 1/8 and "hinge-d8" the Fourier-8 path by the sign of c0 * c1;
+# "paired-d2" gives the torus path the targets c0 - 2 c1
 GAUGES = {
     "circle": ("lipschitz:L=1.5", "smooth:gamma=1.5,lambda=0.7", "local-lipschitz:r0=0.05",
                "local-smooth:c=1.2", "discrete"),
     "grid": ("lipschitz:L=1.5", "discrete"),
     "cycle": ("discrete", "lipschitz:L=2,metric=discrete"),
+    "fourier8": ("lipschitz:L=1.5", "smooth:gamma=1.5,lambda=0.7"),
+    "hinge-d1": ("hinge:L=2",),
+    "hinge-d8": ("hinge:L=2",),
+    "paired-d2": ("regression:L=1.25",),
 }
 
-# recorded before the D = 1 and discrete-metric kernels became one
+# --t per path where 0.02 would put nearly every minimum above it
+T = {"fourier8": "0.3", "hinge-d8": "0.3", "paired-d2": "0.3"}
+
+# recorded before the D = 1 and discrete-metric kernels became one, except
+# where noted
 DIGESTS = {
     "simulate-circle":
         "d9146d90eedbde28da678b5330dfc591b37450f363059b10d301a36465e7d417",
@@ -151,21 +168,97 @@ DIGESTS = {
         "3199f89e8ea9d94d909d7164051cbcbfd02d720cd5b858cecf4ad0c404a16bff",
     "study-long":
         "7fae3acbce0ba7df1c8d94da61b53cfbbf131f95cc97057a34a328861818f3a2",
+    # recorded before the kernels answered only row-prefix problems
+    "simulate-fourier8":
+        "69d89e36d5d207010bc3d473b00fc62a789e65a8de8ea09db5dbbb8ed0a1e642",
+    "simulate-torus":
+        "3ba4d241702fb4aae82754529f65c8e3ca96d63541c63a6707525afbf43807de",
+    "fourier8-lipschitz:L=1.5-all-naive":
+        "7dfe32fc41c0a134c90fec6c4369917ba301f1d44cc72422be1f7d4d76c34e7b",
+    "fourier8-lipschitz:L=1.5-all-profile":
+        "d9336165884967504c306f4269c05b08e24103b24aef6d22790ca83a72f7c966",
+    "fourier8-lipschitz:L=1.5-all-indexed":
+        "5b3dcbb5f0f659df2109ef41a30cc91c34d687227bc2ecf3bf67e1b68fd57ad1",
+    "fourier8-lipschitz:L=1.5-exclude-naive":
+        "3beb0f472598b06b28a768e23472cc9567c55bf84ab743a6669cf9ca62efc455",
+    "fourier8-lipschitz:L=1.5-exclude-profile":
+        "63b48bbaf4078c6310ef2e791b7c3666ff95ff31b69da5f2bece72c2785db4f6",
+    "fourier8-lipschitz:L=1.5-exclude-indexed":
+        "f5a8e2762c3d15adcf776d51482f15194910481f2999e1955f90bf3393e352f8",
+    "fourier8-smooth:gamma=1.5,lambda=0.7-all-naive":
+        "5d5dd05113cfe8847a49714ca644e74a3f55c47a60bb9c89a547d229c6670a1e",
+    "fourier8-smooth:gamma=1.5,lambda=0.7-all-profile":
+        "8827e832e17e45f1c0bdbad6270ea9536b4697a1f23dcbce75047d7a5e818180",
+    "fourier8-smooth:gamma=1.5,lambda=0.7-all-indexed":
+        "a79ba1dcc6e207e57190813deb703991995f977314b5b1a6b7fb7302581f4067",
+    "fourier8-smooth:gamma=1.5,lambda=0.7-exclude-naive":
+        "74b48f0cf234254dfad1b2edc21408b58bc0022256180438726b15e1706b5943",
+    "fourier8-smooth:gamma=1.5,lambda=0.7-exclude-profile":
+        "256c6bc8e86e2a0fda472820ba3f4eb0257e0f1ec6d081bb047081914d973103",
+    "fourier8-smooth:gamma=1.5,lambda=0.7-exclude-indexed":
+        "5d8a1403824b668b4480bb8189daa26857108f3e3c96eb1040cef1c594a2c4ab",
+    "hinge-d1-hinge:L=2-all-naive":
+        "020aff49522759bee2c7be711c57a3e754e64782a210dc50b4f9760c07160936",
+    "hinge-d1-hinge:L=2-all-profile":
+        "0702beddd80d975aec47e875b50b9ea95e84e26deef7d4e82eefd1f42a6c7ede",
+    "hinge-d1-hinge:L=2-all-indexed":
+        "744fc7eb86293bb1f7a34426a0bfb7262005be722513253fa10091221090160d",
+    "hinge-d1-hinge:L=2-exclude-naive":
+        "f6af3b12d8dfedd0986773da7a97d68362e8cf2e7e3f84f3810fb9309cb7acab",
+    "hinge-d1-hinge:L=2-exclude-profile":
+        "c3f14a3f92ec2bd66efd9c5824b154845e102b56150ad844099d5e80f10e6a5a",
+    "hinge-d1-hinge:L=2-exclude-indexed":
+        "18592ba1d790721b4be11a9d833d4f647234c14a4b5881105cc7d29f00f41b92",
+    "hinge-d8-hinge:L=2-all-naive":
+        "d7933b39547fbc3eca26c2f0e69b042593c8b475104f9f361ac8d105cca8d167",
+    "hinge-d8-hinge:L=2-all-profile":
+        "1b21650911b4a73d1c0e51e493c9c5b38bbf3591bd6e3155322cb2531c86ced1",
+    "hinge-d8-hinge:L=2-all-indexed":
+        "06d58aa7d3693e335c511ba6ea5953a6fcfa2d3a40903ae1d47fd049465fbdc6",
+    "hinge-d8-hinge:L=2-exclude-naive":
+        "dc0cd82dde77927dc864117ffc1c00ba417cfa30037a5a0035d73bbfa5fa8c36",
+    "hinge-d8-hinge:L=2-exclude-profile":
+        "f206ac0bf5b0c6b81d05798e2e3b7fc3da502830873ab893c99244ae1bcc29b0",
+    "hinge-d8-hinge:L=2-exclude-indexed":
+        "00e3336f02824451e20f4cf6adbefb0c51d96605ff3ad2b97fed38c38dce45e8",
+    "paired-d2-regression:L=1.25-all-naive":
+        "a72c0727741d515c0b0a4d156e2511eb010a334f9afa6234cab6360960c88a3a",
+    "paired-d2-regression:L=1.25-all-profile":
+        "1c996c8a6374ee939428033a61f714e900777eacb353761ffa16e197dfbe06e0",
+    "paired-d2-regression:L=1.25-all-indexed":
+        "6665a4560a696578d89421b8354dd6f4c933772ddc7db7c7824beeee74873b9c",
+    "paired-d2-regression:L=1.25-exclude-naive":
+        "7fc2b231cf06134805952c9a3ca28233f464065cd6294ff5a1fcfe8280f5dd63",
+    "paired-d2-regression:L=1.25-exclude-profile":
+        "ec18ac055b4636dd6a47f5943cf9d2e3560daa15e592dd6065261b040662dfb3",
+    "paired-d2-regression:L=1.25-exclude-indexed":
+        "f77b651823a3d5620872f274561556299c29b3a30f9fec934437c826970dd161",
 }
+
+
+def write_paths(root):
+    """Every path of GAUGES under root, and the digests of the simulated ones."""
+    digests = {}
+    for name, (process, embedding) in SIMULATE.items():
+        out = root / f"{name}.csv"
+        assert main(["simulate", "--process", process, "--embedding", embedding, "--n", "64",
+                     "--seed", "5", "--out", str(out)]) == 0
+        digests[f"simulate-{name}"] = report_digest(out)
+    circle = read_path(root / "circle.csv").coords
+    fourier, torus = read_path(root / "fourier8.csv").coords, read_path(root / "torus.csv").coords
+    write_path(SamplePath.from_coords(np.round(circle * 8) / 8), root / "grid.csv")
+    write_path(SamplePath.from_labeled(circle, np.where(np.floor(circle[:, 0] * 8) % 2, -1, 1)),
+               root / "hinge-d1.csv")
+    write_path(SamplePath.from_labeled(fourier, np.where(fourier[:, 0] * fourier[:, 1] < 0, -1, 1)),
+               root / "hinge-d8.csv")
+    write_path(SamplePath.from_paired(torus, torus[:, 0] - 2 * torus[:, 1]), root / "paired-d2.csv")
+    return digests
 
 
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("paths")
-    digests = {}
-    for name, process in SIMULATE.items():
-        out = root / f"{name}.csv"
-        assert main(["simulate", "--process", process, "--n", "64", "--seed", "5",
-                     "--out", str(out)]) == 0
-        digests[f"simulate-{name}"] = report_digest(out)
-    grid = np.round(read_path(root / "circle.csv").coords * 8) / 8
-    write_path(SamplePath.from_coords(grid), root / "grid.csv")
-    return root, digests
+    return root, write_paths(root)
 
 
 def test_simulated_paths_keep_their_bytes(paths):
@@ -178,19 +271,25 @@ def test_simulated_paths_keep_their_bytes(paths):
                          [(path, gauge) for path, gauges in GAUGES.items() for gauge in gauges])
 def test_estimate_keeps_its_bytes_on_both_backends(paths, tmp_path, path, gauge, exclude):
     root, _digests = paths
+    digests = estimate_digests(root, tmp_path, path, gauge, exclude)
+    # the two backends write the same profile, byte for byte
+    assert (tmp_path / "naive.csv").read_bytes() == (tmp_path / "indexed.csv").read_bytes()
+    assert digests == {key: DIGESTS[key] for key in digests}
+
+
+def estimate_digests(root, out, path, gauge, exclude):
+    """Digests of estimate's report on both backends and of its profile."""
     name = f"{path}-{gauge}-{'exclude' if exclude else 'all'}"
     digests = {}
     for backend in ("naive", "indexed"):
-        report, profile = tmp_path / f"{backend}.json", tmp_path / f"{backend}.csv"
+        report, profile = out / f"{backend}.json", out / f"{backend}.csv"
         args = ["estimate", "--in", str(root / f"{path}.csv"), "--gauge", gauge, "--tau", "2",
-                "--t", "0.02", "--backend", backend, "--out", str(report),
+                "--t", T.get(path, "0.02"), "--backend", backend, "--out", str(report),
                 "--dump-profile", str(profile)]
         assert main([*args, *(["--exclude", "3,10,40"] if exclude else [])]) == 0
         digests[f"{name}-{backend}"] = report_digest(report)
         digests[f"{name}-profile"] = report_digest(profile)
-    # the two backends write the same profile, byte for byte
-    assert (tmp_path / "naive.csv").read_bytes() == (tmp_path / "indexed.csv").read_bytes()
-    assert digests == {key: DIGESTS[key] for key in digests}
+    return digests
 
 
 @pytest.mark.parametrize("process", ["iid:space=circle", "cycle:N=12,p=0.3"])
