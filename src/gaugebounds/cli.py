@@ -197,7 +197,8 @@ def _cmd_estimate(args) -> int:
     path = pathio.read_path(args.infile)
     exceptions = None
     if indices is not None:
-        exceptions = estimators.ExceptionSet(indices=indices, n_eff=len(path) - args.tau)
+        exceptions = estimators.ExceptionSet(indices=indices,
+                                             n_eff=bounds._n_eff(len(path), args.tau))
     backend = estimators.PrefixNNBackend(args.backend)
     profile = estimators.prefix_min_indexed(path, gauge, args.tau, exceptions, backend)
     report = {

@@ -556,6 +556,15 @@ class TestMalformedSpecs:
                                      "--gauge", "lipschitz:L=1", "--tau", "1", "--exclude", "1,x"])
         assert err["type"] == "ValueError" and "'x'" in err["message"]
 
+    @pytest.mark.parametrize("exclude", [[], ["--exclude", "1"]], ids=["all", "exclude"])
+    def test_estimate_names_a_tau_past_the_path(self, capsys, tmp_path, exclude):
+        # with or without exceptions, tau's owner rejects it by name
+        pfile = tmp_path / "p.csv"
+        pfile.write_text("c0\n0\n1\n0.5\n")
+        err = self.error_of(capsys, ["estimate", "--in", str(pfile), "--gauge", "lipschitz:L=1",
+                                     "--tau", "5", *exclude])
+        assert err == {"type": "ValueError", "message": "tau=5 must be smaller than n=3"}
+
 
 class TestNonFiniteValues:
     """A NaN or infinite threshold or estimate fails by name, and no report
