@@ -24,10 +24,12 @@ tau + j with limit j + 1 and keeps the rows outside B; leave-one-out queries
 every row with limit n under skip_self; the ground truth appends the fresh
 draws to the path and queries them with limit n.  geometry.admissible_mins
 answers every problem: the prefix and leave-one-out ones on a backend's
-kind ("naive" when no backend is passed), the truth on the indexed kind,
-where D = 1 and the discrete metric take the order kernel without lifting.
-Both kinds give the same minima bit for bit; a passed backend receives the
-pair counts of its last run.
+kind ("naive" when no backend is passed), the truth on the indexed kind.
+It restates each as row-prefix problems, which are all its kernels answer:
+an exception set moves the kept rows to the front of the path, and on the
+indexed kind each hinge label class is a problem on its own rows.  Both
+kinds give the same minima bit for bit; a passed backend receives the pair
+counts of its last run.
 
 Summation order is fixed (ascending position, plain left-to-right), so
 results are bit-reproducible.  Apart from the counts a passed backend

@@ -208,14 +208,15 @@ class SamplePath:
         """First n points, as a path."""
         if not 1 <= n <= len(self):
             raise ValueError(f"head length {n} out of range for path of length {len(self)}")
-        if self.kind == "symbol":
-            return SamplePath(kind="symbol", symbols=self.symbols[:n].copy())
-        return SamplePath(
-            kind=self.kind,
-            coords=self.coords[:n].copy(),
-            labels=None if self.labels is None else self.labels[:n].copy(),
-            targets=None if self.targets is None else self.targets[:n].copy(),
-        )
+        return self._take(slice(0, n))
+
+    def _take(self, rows) -> "SamplePath":
+        """The points at rows (an index array or a slice), in that order, as a path."""
+        def pick(a):
+            return None if a is None else a[rows]
+
+        return SamplePath(kind=self.kind, coords=pick(self.coords), symbols=pick(self.symbols),
+                          labels=pick(self.labels), targets=pick(self.targets))
 
 
 def _check_parameters(**values: float | None) -> None:
@@ -605,15 +606,12 @@ def _euclid_min_screened(
     coords: np.ndarray,
     queries: np.ndarray,
     limits: np.ndarray,
-    keep: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
     skip_self: bool = False,
 ) -> tuple[np.ndarray, int, int]:
     """Exact min over candidates of _euclid_row(coords[cand], coords[query]).
 
-    Query r's candidates are the rows i < limits[r] with keep[i] (when
-    given), labels[i] == labels[queries[r]] (when given) and, with
-    skip_self, i != queries[r].  Returns the minima (+inf where no candidate
+    Query r's candidates are the rows i < limits[r] and, with skip_self,
+    not i == queries[r].  Returns the minima (+inf where no candidate
     is admissible), the number of pairs valued through the Gram form (n per
     centre in the traversal, then every screened tile) and the number of
     exact kernel evaluations (one radius per candidate, then the
@@ -659,10 +657,7 @@ def _euclid_min_screened(
         np.sqrt(lam, out=lam)
 
         # rows ordered by (cluster, position); non-candidates go last
-        top = int(limits.max())
-        member = np.zeros(n, dtype=bool)
-        member[:top] = True if keep is None else keep[:top]
-        key = np.where(member, nearest, k)
+        key = np.where(np.arange(n) < limits.max(), nearest, k)
         perm = np.argsort(key, kind="stable")
         bounds = np.searchsorted(key[perm], np.arange(k + 1))
         # the same values in cluster order, written over the traversal's copy.
@@ -678,7 +673,6 @@ def _euclid_min_screened(
         pos = np.empty(n, dtype=np.intp)
         pos[perm] = np.arange(n)
         qpos = pos[queries]
-        lab = None if labels is None else labels[perm]
         t_factor = 1.0 + _gamma(2 * dim + 16)
         t_abs = float(np.ldexp(2.0 * dim, 2 * s - 1074)) + math.ldexp(dim, -499)
         batch = max(1, _EXACT_BATCH // dim)
@@ -736,8 +730,6 @@ def _euclid_min_screened(
                 # inadmissible pairs get +inf, which the clamped T always prunes
                 if w > bc.min():
                     lt[np.arange(w)[None, :] >= bc[:, None]] = np.inf
-                if lab is not None:
-                    lt[lab[qp, None] != lab[None, c0:end]] = np.inf
                 if skip_self:
                     mine = (qp >= c0) & (qp < end)
                     lt[ar[mine], qp[mine] - c0] = np.inf
@@ -926,28 +918,25 @@ def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarra
 # Every estimator is a minimum from a query point to a set of admissible path
 # rows, stated as (queries, limits, keep, skip_self): query r sees the rows
 # i < limits[r] with keep[i] (a bool mask over path rows, or None for all)
-# and, under skip_self, i != queries[r].  Three kernels answer it, each with
-# its evaluation count: _naive_mins (the gauge_block oracle), _order_min
-# (sorted neighbours at D = 1 and under the discrete metric) and
-# _euclid_min_screened (the certified screen).  admissible_mins is the one
-# place that picks among them.  A query without candidates gets +inf.
+# and, under skip_self, i != queries[r].  A query without candidates gets
+# +inf.  admissible_mins is the one place that reads keep and the hinge
+# labels: it restates the problem as row-prefix problems, in which query r
+# sees the rows i < limits[r] (less itself under skip_self), and picks a
+# kernel for them.  Three kernels answer a row-prefix problem, each with its
+# evaluation count: _naive_mins (the gauge_block oracle), _order_min (sorted
+# neighbours at D = 1 and under the discrete metric) and _euclid_min_screened
+# (the certified screen).
+#
+# An exception set becomes the same problem on the path with its rows
+# reordered: the kept rows first, in order, then the queries' rows that keep
+# leaves out, ascending.  Query r's candidates are then the first
+# searchsorted(kept, limits[r]) rows, and a query that keep leaves out sits
+# past every limit, so skip_self never drops a candidate for it.  A hinge
+# label class is the Lipschitz problem, with the same L, on the class's own
+# rows, which keep their order, so a prefix maps to a prefix.  Each kernel
+# evaluates the same pairs with the same arithmetic as before the reordering,
+# so the minima are the oracle's floats.
 # ---------------------------------------------------------------------------
-
-def _candidates(queries: np.ndarray, limits: np.ndarray, keep: np.ndarray | None,
-                skip_self: bool):
-    """The candidate rows in ascending order, the number of them each query
-    admits before skip_self, and each query's own column among them (-1
-    where skip_self leaves nothing to drop)."""
-    top = int(limits.max())
-    cand = np.arange(top) if keep is None else np.flatnonzero(keep[:top])
-    upto = np.searchsorted(cand, limits)
-    own = np.full(queries.size, -1)
-    if skip_self and cand.size:
-        at = np.searchsorted(cand, queries)
-        mine = (at < upto) & (cand[np.minimum(at, cand.size - 1)] == queries)
-        own[mine] = at[mine]
-    return cand, upto, own
-
 
 # Rows per _naive_mins block where the limits differ.  Ascending limits (the
 # prefix profile) leave a block of r rows a band of about r columns for the
@@ -966,34 +955,30 @@ def _naive_mins(
     path: SamplePath,
     queries: np.ndarray,
     limits: np.ndarray,
-    keep: np.ndarray | None = None,
     skip_self: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Gauge minima straight from gauge_block, the oracle every kernel must
-    match, and the definitional pair count.  Rows are blocked to about
-    _TILE candidate values at a time, and to _BAND_ROWS where the limits
-    differ."""
-    cand, upto, own = _candidates(queries, limits, keep, skip_self)
-    prefix = cand.size == 0 or cand[-1] == cand.size - 1
+    """Gauge minima of a row-prefix problem straight from gauge_block, the
+    oracle every kernel must match, and the definitional pair count.  Rows
+    are blocked to about _TILE candidate values at a time, and to _BAND_ROWS
+    where the limits differ."""
+    own = (queries < limits) & skip_self
     m = queries.size
     mins = np.empty(m)
-    rows = max(1, _TILE // max(1, cand.size))
-    if upto.min() < upto.max():
+    rows = max(1, _TILE // max(1, int(limits.max())))
+    if limits.min() < limits.max():
         rows = min(rows, _BAND_ROWS)
     for r0 in range(0, m, rows):
         r = slice(r0, min(m, r0 + rows))
-        lo, hi = int(upto[r].min()), int(upto[r].max())
-        # a contiguous candidate prefix is a slice (view), not fancy indexing;
-        # the arithmetic is unchanged
-        vals = gauge_block(gauge, path, queries[r], slice(0, hi) if prefix else cand[:hi])
+        lo, hi = int(limits[r].min()), int(limits[r].max())
+        vals = gauge_block(gauge, path, queries[r], slice(0, hi))
         # the first lo candidates are admissible for every row of the block,
         # the rest only for the rows whose limit lies past them
-        np.copyto(vals[:, lo:], np.inf, where=np.arange(lo, hi) >= upto[r, None])
+        np.copyto(vals[:, lo:], np.inf, where=np.arange(lo, hi) >= limits[r, None])
         if skip_self:
-            hit = np.flatnonzero(own[r] >= 0)
-            vals[hit, own[r][hit]] = np.inf
+            hit = np.flatnonzero(own[r])
+            vals[hit, queries[r][hit]] = np.inf
         mins[r] = vals.min(axis=1, initial=np.inf)
-    return mins, int(upto.sum()) - int(np.count_nonzero(own >= 0))
+    return mins, int(limits.sum()) - int(np.count_nonzero(own))
 
 
 def _first_below(rows: np.ndarray, start: np.ndarray, limits: np.ndarray) -> np.ndarray:
@@ -1010,19 +995,19 @@ def _first_below(rows: np.ndarray, start: np.ndarray, limits: np.ndarray) -> np.
 
 
 def _order_min(path: SamplePath, discrete: bool, queries: np.ndarray, limits: np.ndarray,
-               keep: np.ndarray | None = None, skip_self: bool = False) -> tuple[np.ndarray, int]:
-    """D = 1 or discrete-metric minima from each query's nearest admissible rows on
-    either side in key order (the argument above _euclid_row); two evaluations per query."""
+               skip_self: bool = False) -> tuple[np.ndarray, int]:
+    """D = 1 or discrete-metric minima of a row-prefix problem from each query's nearest
+    admissible rows on either side in key order (the argument above _euclid_row); two
+    evaluations per query."""
     top = int(limits.max())
-    cand = np.arange(top) if keep is None else np.flatnonzero(keep[:top])
-    if cand.size == 0:
+    if top == 0:
         return np.full(queries.size, np.inf), 0
     key = path.symbols if path.kind == "symbol" else path.coords[:, 0]
     if path.dim > 1:
         # the discrete metric; with -0.0 folded onto +0.0, equal bytes are equal points
         pts = np.ascontiguousarray(path.coords + 0.0)
         key = pts.view(np.dtype((np.void, pts.itemsize * path.dim))).ravel()
-    rows = cand[np.argsort(key[cand])]
+    rows = np.argsort(key[:top])
     keys, q, end = key[rows], key[queries], rows.size
     # each query's insertion point (searched in key order: faster), or its own row under skip_self
     by_key = np.argsort(q)
@@ -1035,12 +1020,23 @@ def _order_min(path: SamplePath, discrete: bool, queries: np.ndarray, limits: np
     mins = np.full(queries.size, np.inf)
     # the left side is the right side of the reversed order (lifting: above _euclid_row)
     for order, ks, p in ((rows[::-1], keys[::-1], end - start), (rows, keys, start + mine)):
-        if cand[-1] >= limits.min():
+        if top > limits.min():
             p = _first_below(order, p, limits)
         at = ks[np.minimum(p, end - 1)]
         d = (at != q) * 1.0 if discrete else _euclid_row(at[:, None], path.coords[queries])
         np.minimum(mins, np.where(p == end, np.inf, d), out=mins)
     return mins, 2 * queries.size
+
+
+def _metric_mins(path: SamplePath, discrete: bool, queries: np.ndarray, limits: np.ndarray,
+                 skip_self: bool) -> tuple[np.ndarray, int, int]:
+    """Base-metric minima of a row-prefix problem, with the pairs valued in any
+    form and the Gram-screened share: _order_min under the discrete metric and
+    at D = 1, _euclid_min_screened otherwise."""
+    if discrete or path.dim == 1:
+        return (*_order_min(path, discrete, queries, limits, skip_self), 0)
+    dmins, screened, exact = _euclid_min_screened(path.coords, queries, limits, skip_self)
+    return dmins, screened + exact, screened
 
 
 def admissible_mins(
@@ -1056,25 +1052,36 @@ def admissible_mins(
     "naive" or "indexed", with the pairs valued in any form and the
     Gram-screened share of them.  The one place that picks a kernel.
 
-    naive, and the regression gauge on either kind, take _naive_mins.  The
-    indexed kind minimizes the base metric and applies the nondecreasing
-    distance_transform once, to the minimum: _order_min where gauge.metric
-    is discrete and at D = 1 without hinge labels, and _euclid_min_screened
-    (hinge labels masking pairs) otherwise.  Every kernel returns the
+    A keep mask first becomes the row-prefix problem on the reordered path
+    (the block above _BAND_ROWS).  naive, and the regression gauge on either
+    kind, then take _naive_mins, which gates hinge pairs by label as the
+    definition does.  The indexed kind minimizes the base metric, on each
+    hinge label class separately, and applies the nondecreasing
+    distance_transform once, to the minimum.  Every kernel returns the
     oracle's floats, so both kinds give the same minima bit for bit.
     """
+    if keep is not None:
+        kept = np.flatnonzero(keep[: int(limits.max())])
+        rows = np.concatenate((kept, np.setdiff1d(queries, kept)))
+        pos = np.empty(len(path), dtype=np.intp)
+        pos[rows] = np.arange(rows.size)
+        path, queries, limits = path._take(rows), pos[queries], np.searchsorted(kept, limits)
     if kind == "naive" or gauge.kind == "regression":
-        mins, evaluations = _naive_mins(gauge, path, queries, limits, keep, skip_self)
+        mins, evaluations = _naive_mins(gauge, path, queries, limits, skip_self)
         return mins, evaluations, 0
-    screened = 0
-    if gauge.metric == "discrete" or (path.dim == 1 and gauge.kind != "hinge"):
-        dmins, evaluations = _order_min(path, gauge.metric == "discrete", queries, limits, keep,
-                                        skip_self)
+    discrete = gauge.metric == "discrete"
+    if gauge.kind != "hinge":
+        dmins, evaluations, screened = _metric_mins(path, discrete, queries, limits, skip_self)
     else:
-        labels = path.labels if gauge.kind == "hinge" else None
-        dmins, screened, exact = _euclid_min_screened(
-            path.coords, queries, limits, keep=keep, labels=labels, skip_self=skip_self)
-        evaluations = screened + exact
+        dmins, evaluations, screened = np.full(queries.size, np.inf), 0, 0
+        for label in (-1, 1):
+            rows = np.flatnonzero(path.labels == label)
+            mine = np.flatnonzero(path.labels[queries] == label)
+            if mine.size:
+                at, upto = np.searchsorted(rows, (queries[mine], limits[mine]))
+                dmins[mine], count, share = _metric_mins(path._take(rows), discrete, at, upto,
+                                                         skip_self)
+                evaluations, screened = evaluations + count, screened + share
     return np.asarray(distance_transform(gauge)(dmins), dtype=np.float64), evaluations, screened
 
 

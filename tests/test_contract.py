@@ -3,12 +3,13 @@
 A problem is (queries, limits, keep, skip_self): query r sees the path rows
 i < limits[r] with keep[i] and, under skip_self, i != queries[r].  The
 reference below spells that out one query at a time through gauge_block.
-_naive_mins, _order_min and _euclid_min_screened, and admissible_mins on
-both backend kinds, must return its minima bit for bit, +inf for a query
-without candidates, on every problem shape the estimators pose (prefix
-minima with and without exception sets, leave-one-out, the truth's fresh
-draws against the path) and on arbitrary ones.  The backends' counters keep
-their pinned values.
+admissible_mins on both backend kinds must return its minima bit for bit,
++inf for a query without candidates, on every problem shape the estimators
+pose (prefix minima with and without exception sets, leave-one-out, the
+truth's fresh draws against the path) and on arbitrary ones.  The kernels
+_naive_mins, _order_min and _euclid_min_screened answer row-prefix problems
+(no keep mask, no labels) and must return the same minima on those.  The
+backends' counters keep their pinned values.
 """
 
 import numpy as np
@@ -76,14 +77,6 @@ def _oracle(gauge, path, queries, limits, keep, skip_self):
     return np.array(mins), count
 
 
-def _part(path, rows):
-    if path.kind == "symbol":
-        return SamplePath(kind="symbol", symbols=path.symbols[rows])
-    pick = (lambda a: None if a is None else a[rows])
-    return SamplePath(kind=path.kind, coords=path.coords[rows],
-                      labels=pick(path.labels), targets=pick(path.targets))
-
-
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
@@ -101,7 +94,7 @@ def _with_duplicates(coords, rng):
 
 def _check_truth(gauge, path, split, expected):
     n = len(path)
-    got = _min_gauge_to_path(gauge, _part(path, slice(0, split)), _part(path, slice(split, n)))
+    got = _min_gauge_to_path(gauge, path._take(slice(0, split)), path._take(slice(split, n)))
     assert np.array_equal(_bits(got), _bits(expected))
 
 
@@ -129,8 +122,10 @@ def test_discrete_min_matches_the_oracle(coords, name, symbols, shape, seed):
     gauge = DISCRETE[name]
     queries, limits, keep, skip_self, split = _problem(shape, len(path), rng)
     expected, _ = _oracle(gauge, path, queries, limits, keep, skip_self)
-    dmins, count = _order_min(path, True, queries, limits, keep, skip_self)
-    assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
+    if keep is None:
+        dmins, _ = _order_min(path, True, queries, limits, skip_self)
+        assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
+    _, count, _ = admissible_mins(gauge, path, "indexed", queries, limits, keep, skip_self)
     assert count == 2 * queries.size or (count == 0 and np.isinf(expected).all())
     _check_dispatch(gauge, path, (queries, limits, keep, skip_self), expected)
     if split is not None:
@@ -162,14 +157,14 @@ def test_naive_and_screened_kernels_match_the_oracle(coords, name, shape, seed):
         path = SamplePath.from_coords(coords)
     queries, limits, keep, skip_self, split = _problem(shape, n, rng)
     expected, count = _oracle(gauge, path, queries, limits, keep, skip_self)
-    mins, naive_count = _naive_mins(gauge, path, queries, limits, keep, skip_self)
-    assert np.array_equal(_bits(mins), _bits(expected))
+    _, naive_count, _ = admissible_mins(gauge, path, "naive", queries, limits, keep, skip_self)
     assert naive_count == count
-    if name != "regression":
-        labels = path.labels if name == "hinge" else None
-        dmins, _, _ = _euclid_min_screened(path.coords, queries, limits, keep=keep,
-                                           labels=labels, skip_self=skip_self)
-        assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
+    if keep is None:
+        mins, _ = _naive_mins(gauge, path, queries, limits, skip_self)
+        assert np.array_equal(_bits(mins), _bits(expected))
+        if name not in ("hinge", "regression"):
+            dmins, _, _ = _euclid_min_screened(path.coords, queries, limits, skip_self)
+            assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
     _check_dispatch(gauge, path, (queries, limits, keep, skip_self), expected)
     if split is not None:
         _check_truth(gauge, path, split, expected)
@@ -187,8 +182,10 @@ def test_order_min_matches_the_oracle_at_d1(coords, name, shape, seed):
     gauge = EUCLIDEAN[name]
     *problem, split = _problem(shape, len(path), rng)
     expected, _ = _oracle(gauge, path, *problem)
-    dmins, _ = _order_min(path, False, *problem)
-    assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
+    queries, limits, keep, skip_self = problem
+    if keep is None:
+        dmins, _ = _order_min(path, False, queries, limits, skip_self)
+        assert np.array_equal(_bits(distance_transform(gauge)(dmins)), _bits(expected))
     mins, _, screened = admissible_mins(gauge, path, "indexed", *problem)
     assert np.array_equal(_bits(mins), _bits(expected))
     assert screened == 0
@@ -219,6 +216,77 @@ def test_shared_rows_at_d1_take_the_sorted_kernel(name):
     expected, _ = _oracle(gauge, edge, queries, limits, None, False)
     mins, _, _ = admissible_mins(gauge, edge, "indexed", queries, limits)
     assert np.array_equal(_bits(mins), _bits(expected)) and expected[0] > 0.0
+
+
+def _reduction_cases(dim):
+    """(name, path, (queries, limits, keep, skip_self)) at the edges of
+    admissible_mins' reductions: hinge label classes and exception sets.
+    The truth's rows from limits[0] on are fresh draws."""
+    rng = np.random.default_rng(30 + dim)
+    n = 14
+    coords = np.round(rng.standard_normal((n, dim)) * 2.0) / 2.0
+    coords[5] = coords[9]                                # an exact duplicate
+    labels = np.ones(n, dtype=int)
+    labels[[1, 6, 9, 12]] = -1
+    path = SamplePath.from_labeled(coords, labels)
+    prefix = (2 + np.arange(n - 2), np.arange(1, n - 1))
+    alone = np.ones(n, dtype=int)
+    alone[4] = -1
+    keep = np.ones(n - 2, dtype=bool)
+    keep[1] = False         # the only candidate of class -1 that query 6 (limit 5) sees
+    plus = np.flatnonzero(labels == 1)
+    fresh = np.round(rng.standard_normal((30, dim)) * 2.0) / 2.0
+    joined = SamplePath.from_labeled(np.concatenate((coords, fresh)),
+                                     np.concatenate((labels, rng.choice([-1, 1], 30))))
+    return [
+        ("truth-fresh-labeled", joined, (n + np.arange(30), np.full(30, n), None, False)),
+        ("truth-one-row", joined._take(slice(n - 1, None)),
+         (1 + np.arange(30), np.full(30, 1), None, False)),
+        ("one-label", SamplePath.from_labeled(coords, np.ones(n, dtype=int)),
+         (*prefix, None, False)),
+        ("one-label-loo", SamplePath.from_labeled(coords, -np.ones(n, dtype=int)),
+         (np.arange(n), np.full(n, n), None, True)),
+        ("single-row-class", SamplePath.from_labeled(coords, alone),
+         (np.arange(n), np.full(n, n), None, True)),
+        ("exception-removes-a-class", path, (*prefix, keep, False)),
+        ("queries-from-one-class", path,
+         (plus, rng.integers(0, n + 1, plus.size), None, True)),
+        ("repeated-and-excluded-queries", path,
+         (np.array([3, 3, 7, 7, 0, 12, 3]), np.array([5, 14, 14, 8, 14, 13, 0]),
+          np.isin(np.arange(n), [3, 7, 0], invert=True), True)),
+        ("repeated-queries-no-skip", path,
+         (np.array([3, 3, 7, 7, 0, 12, 3]), np.array([5, 14, 14, 8, 14, 13, 0]),
+          np.isin(np.arange(n), [3, 12], invert=True), False)),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_reductions_at_their_edges(dim):
+    # every case on both kinds equals the oracle; the naive kind keeps the
+    # definitional pair count, and at D = 1 the order kernel counts two
+    # evaluations per query of each label class that has a candidate
+    gauge = GaugeSpec.hinge_classification(2.0)
+    for name, path, problem in _reduction_cases(dim):
+        queries, limits, keep, skip_self = problem
+        expected, count = _oracle(gauge, path, *problem)
+        _check_dispatch(gauge, path, problem, expected)
+        assert admissible_mins(gauge, path, "naive", *problem)[1] == count, name
+        if dim == 1:
+            kept = np.arange(len(path)) if keep is None else np.flatnonzero(keep)
+            order = 0
+            for label in (-1, 1):
+                mine = path.labels[queries] == label
+                if mine.any():
+                    rows = kept[kept < limits[mine].max()]
+                    order += 2 * int(mine.sum()) * bool((path.labels[rows] == label).any())
+            assert admissible_mins(gauge, path, "indexed", *problem)[1:] == (order, 0), name
+        if name.startswith("truth"):
+            _check_truth(gauge, path, int(limits[0]), expected)
+        if name == "single-row-class":
+            assert np.isinf(expected[4]) and np.isfinite(np.delete(expected, 4)).all()
+        if name == "exception-removes-a-class":
+            assert np.isinf(expected[queries == 6]).all()
+            assert np.isfinite(expected[queries == 9]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +330,13 @@ TABLE_GAUGES = {
 # and n (n - 1) = 1560.  Order kernel (the discrete metric, and D = 1): two
 # evaluations per query, 2 n_eff or 2 n.
 # Screen: the certified screen's own counts on this data, which depend on the
-# coordinates and the hinge labels, not on the distance transform.  The
-# regression gauge takes the naive kernel on either backend.
+# coordinates, not on the distance transform; with exceptions, on the path
+# with the kept rows first.  Hinge: the screen's counts summed over the two
+# label classes.  The regression gauge takes the naive kernel on either
+# backend.
 NAIVE = ((741, 0), (670, 0), (1560, 0))
 ORDER = ((76, 0), (76, 0), (80, 0))
-SCREEN = ((1014, 916), (1026, 931), (1214, 1082))
+SCREEN = ((1014, 916), (944, 850), (1214, 1082))
 COUNTS = {
     "lipschitz": SCREEN,
     "smooth": SCREEN,
@@ -276,7 +346,7 @@ COUNTS = {
     "smooth-d1": ORDER,
     "local_lipschitz-d1": ORDER,
     "local_smooth-d1": ORDER,
-    "hinge": ((1256, 1159), (1217, 1123), (1456, 1329)),
+    "hinge": ((672, 586), (654, 570), (902, 781)),
     "regression": NAIVE,
     "discrete": ORDER,
     "discrete-coords": ORDER,
