@@ -1,8 +1,10 @@
 """The output bytes of simulate, estimate, coverage and a study.
 
 estimate runs on every kernel the indexed kind picks: the order kernel (D = 1
-and the discrete metric), the certified screen (a Fourier-8 path), hinge
-labels at D = 1 and D = 8, and the regression gauge at D = 2.
+and the discrete metric), the certified screen (a Fourier-8 path, and a
+raster path at D = 256 long enough that the screen picks its centres from a
+strided sample of the candidates), hinge labels at D = 1 and D = 8, and the
+regression gauge at D = 2.
 
 Each output file's sha256, with its generated_at timestamp and its
 distance_evaluations work counter removed (test_contract.py pins the
@@ -233,6 +235,19 @@ DIGESTS = {
         "ec18ac055b4636dd6a47f5943cf9d2e3560daa15e592dd6065261b040662dfb3",
     "paired-d2-regression:L=1.25-exclude-indexed":
         "f77b651823a3d5620872f274561556299c29b3a30f9fec934437c826970dd161",
+    # recorded before the screen took its centres from a strided sample
+    "simulate-raster.csv":
+        "f376d283904ca4a45bba4f3e3c3d19b7b18ef3b8b5b652c9801de36a0003adb3",
+    "simulate-raster.bin":
+        "5d21c1557895af50442f5023feb05a17bafed62cafba2c1855338b8a84bf0a1b",
+    "raster-estimate":
+        "324d1c4031d1f3fc58ad00a0cf2702bbfeda72c3f75ae8e28e4668b849c4a1c9",
+    "raster-profile":
+        "dcbcb853fb6b6b1abef85652de1263afed0534c9601525f82119d8f99fe2eab2",
+    "raster-study":
+        "84af06222e22f9d77616accb5043172e56743c05c950db0195b1c1a12bcbce99",
+    "raster-study-long":
+        "59c3238e433408c2eee3cf4b2272060d0fd06b9abd402800cc607ed780b118b6",
 }
 
 
@@ -308,3 +323,31 @@ def test_identity_study_on_the_index_keeps_its_bytes(tmp_path):
                  "--p-list", "1,0.1", "--n-seeds", "2", "--seed", "4", "--out", str(out)]) == 0
     assert report_digest(out) == DIGESTS["study"]
     assert report_digest(tmp_path / "study_long.csv") == DIGESTS["study-long"]
+
+
+# raster paths (D = 256) of the README's process; at n = 2048 the screen's
+# sample of at most 1024 candidate rows takes every second one
+RASTER = ["--process", "torus:p=0.1", "--embedding", "raster:scaling=true", "--seed", "7"]
+
+
+def test_raster_simulate_and_estimate_keep_their_bytes(tmp_path):
+    digests = {}
+    for n, name in ((64, "raster.csv"), (2048, "raster.bin")):
+        assert main(["simulate", *RASTER, "--n", str(n), "--out", str(tmp_path / name)]) == 0
+        digests[f"simulate-{name}"] = report_digest(tmp_path / name)
+    report, profile = tmp_path / "estimate.json", tmp_path / "mins.csv"
+    assert main(["estimate", "--in", str(tmp_path / "raster.bin"), "--gauge", "lipschitz:L=1",
+                 "--tau", "22", "--t", "0.2", "--backend", "indexed", "--out", str(report),
+                 "--dump-profile", str(profile)]) == 0
+    digests["raster-estimate"] = report_digest(report)
+    digests["raster-profile"] = report_digest(profile)
+    assert digests == {key: DIGESTS[key] for key in digests}
+
+
+def test_raster_study_keeps_its_bytes(tmp_path):
+    out = tmp_path / "study.csv"
+    assert main(["study", *RASTER, "--backend", "indexed", "--tau", "2",
+                 "--sizes", "64,512,2048", "--p-list", "1,0.1", "--n-seeds", "1",
+                 "--out", str(out)]) == 0
+    assert report_digest(out) == DIGESTS["raster-study"]
+    assert report_digest(tmp_path / "study_long.csv") == DIGESTS["raster-study-long"]
