@@ -570,36 +570,41 @@ def _gamma(k: int) -> float:
 
 
 def _n_clusters(n: int) -> int:
-    """Farthest-point centres for n rows: about sqrt(n)."""
+    """Farthest-point centres for n candidate rows: about sqrt(n)."""
     return max(1, math.isqrt(n))
 
 
-def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int):
-    """Up to k centres by farthest-point traversal from row 0.
+# Rows the centre traversal visits at most: an evenly strided sample of the
+# candidates.  The traversal is one matrix-vector product per centre, in
+# sequence, over the rows it visits; every row's S_hat against the centres
+# then comes from one matrix-matrix product, which needs no second BLAS
+# thread to run fast.
+_SAMPLE = 1024
 
-    Returns the centres, each row's nearest centre (ties to the earlier
-    one) and, one row per centre, S_hat = fl(n_x + n_c - 2 G) of step (3)
-    for every row x.  Uncorrected, these values only choose the centres;
-    step (6) subtracts the error term before it bounds anything with them.
+
+def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Up to k rows of z by farthest-point traversal from row 0, and the
+    number of pairs valued on the way (len(z) per traversal step).
+
+    Rows are compared by S_hat = fl(n_x + n_c - 2 G) of step (3).
+    Uncorrected, these values only choose the centres, and step (6) holds
+    for any centres.
     """
-    gram = np.empty((k, z.shape[0]))
-    nearest = np.zeros(z.shape[0], dtype=np.intp)
-    centres = [0]
-    for j in range(k):
-        c, row = centres[j], gram[j]
+    far = np.full(z.shape[0], np.inf)
+    row = np.empty(z.shape[0])
+    centres, steps = [0], 0
+    while len(centres) < k:
+        c = centres[-1]
         np.matmul(z, -2.0 * z[c], out=row)
+        steps += 1
         row += norms
         row += norms[c]
-        if j == 0:
-            far = row.copy()
-        else:
-            nearest[row < far] = j
-            np.minimum(far, row, out=far)
+        np.minimum(far, row, out=far)
         c = int(far.argmax())          # the lowest index among ties
-        if j + 1 == k or not far[c] > 0.0:
-            break                      # enough centres, or every row sits on one
+        if not far[c] > 0.0:
+            break                      # every row sits on a centre
         centres.append(c)
-    return np.asarray(centres, dtype=np.intp), nearest, gram[: len(centres)]
+    return np.asarray(centres, dtype=np.intp), steps * z.shape[0]
 
 
 def _euclid_min_screened(
@@ -612,18 +617,20 @@ def _euclid_min_screened(
 
     Query r's candidates are the rows i < limits[r] and, with skip_self,
     not i == queries[r].  Returns the minima (+inf where no candidate
-    is admissible), the number of pairs valued through the Gram form (n per
-    centre in the traversal, then every screened tile) and the number of
-    exact kernel evaluations (one radius per candidate, then the
-    survivors).  Pure; the buffers live for one call.
+    is admissible), the number of pairs valued through the Gram form (the
+    sample's rows per traversal step, n per centre, then every screened
+    tile) and the number of exact kernel evaluations (one radius per
+    candidate, then the survivors).  Pure; the buffers live for one call.
 
-    Candidates are clustered around about sqrt(n) farthest-point centres
-    and stored in one scaled array ordered by (cluster, position), so the
-    members a query admits are a prefix of each cluster's slice.  Pass 1
-    screens every query against its own cluster, which gives a tight upper
-    bound; pass 2 visits each other cluster once, with the queries step (6)
-    cannot prune for it, and evaluates only after all of them, at each
-    row's best screened pair and at the pairs the final bound cannot prune.
+    For c candidates, about sqrt(c) farthest-point centres are picked from
+    an evenly strided sample of at most _SAMPLE of them.  Every row joins
+    its nearest centre, and the candidates are stored in one scaled array
+    ordered by (cluster, position), so the members a query admits are a
+    prefix of each cluster's slice.  Pass 1 screens every query against its
+    own cluster, which gives a tight upper bound; pass 2 visits each other
+    cluster once, with the queries step (6) cannot prune for it, and
+    evaluates only after all of them, at each row's best screened pair and
+    at the pairs the final bound cannot prune.
     With one centre this is the plain screen.
     """
     with np.errstate(over="ignore"):
@@ -641,26 +648,45 @@ def _euclid_min_screened(
         z = coords - mid
         np.ldexp(z, s, out=z)
         norms = np.einsum("ij,ij->i", z, z)
-        centres, nearest, lam = _farthest_point_centres(z, norms, _n_clusters(n))
+
+        # centres from an evenly strided sample of the candidate rows
+        n_cand = int(limits.max())
+        if n_cand == 0:
+            return mins, 0, 0
+        stride = -(-n_cand // _SAMPLE)
+        sample = slice(0, n_cand, stride)
+        k = min(_n_clusters(n_cand), -(-n_cand // stride))
+        centres, screened = _farthest_point_centres(z[sample], norms[sample], k)
+        centres *= stride
         k = centres.size
-        screened = n * k
         exact = 0
 
-        # step (6)'s left side for every (centre, row) pair, from the traversal
+        # step (3)'s S_hat for every (row, centre) pair, one product in blocks
+        # of rows; each row's nearest centre (ties to the earlier one); then
+        # step (6)'s left side, stored by centre
+        lam = np.empty((k, n))
+        nearest = np.empty(n, dtype=np.intp)
         rho = np.sqrt(4.0 * _gamma(dim + 4) * norms)
-        step = max(1, _TILE // n)
-        for j0 in range(0, k, step):
-            tmp = rho[centres[j0: j0 + step], None] + rho[None, :]
-            tmp *= tmp
-            lam[j0: j0 + step] -= tmp
-        np.maximum(lam, 0.0, out=lam)
-        np.sqrt(lam, out=lam)
+        zc2, n_c, rho_c = -2.0 * z[centres].T, norms[centres], rho[centres]
+        step = max(1, (_TILE >> 4) // k)
+        for r0 in range(0, n, step):
+            rows = slice(r0, r0 + step)
+            blk = np.matmul(z[rows], zc2)
+            blk += norms[rows, None]
+            blk += n_c
+            nearest[rows] = blk.argmin(axis=1)
+            rr = rho[rows, None] + rho_c
+            rr *= rr
+            blk -= rr
+            np.maximum(blk, 0.0, out=blk)
+            lam[:, rows] = np.sqrt(blk, out=blk).T
+        screened += n * k
 
         # rows ordered by (cluster, position); non-candidates go last
-        key = np.where(np.arange(n) < limits.max(), nearest, k)
+        key = np.where(np.arange(n) < n_cand, nearest, k)
         perm = np.argsort(key, kind="stable")
         bounds = np.searchsorted(key[perm], np.arange(k + 1))
-        # the same values in cluster order, written over the traversal's copy.
+        # the same values in cluster order, written over the copy read above.
         # Freeing that copy and allocating another of its size raised peak
         # RSS: the free lifts glibc's dynamic mmap threshold above the size,
         # so the new copy came from the heap, which keeps freed pages. perm is
@@ -765,7 +791,6 @@ def _euclid_min_screened(
             return mins, screened, exact
 
         # cluster radii: the exact kernel of every member against its centre
-        n_cand = int(bounds[k])
         rad = np.empty(n_cand)
         for b0 in range(0, n_cand, batch):
             rows = perm[b0: min(n_cand, b0 + batch)]

@@ -329,14 +329,16 @@ TABLE_GAUGES = {
 # Naive: the admissible sums 38 * 39 / 2 = 741 and 741 - (37 + 33 + 1) = 670,
 # and n (n - 1) = 1560.  Order kernel (the discrete metric, and D = 1): two
 # evaluations per query, 2 n_eff or 2 n.
-# Screen: the certified screen's own counts on this data, which depend on the
+# Screen: the certified screen's own counts on this data (the centre
+# traversal over the candidates, every row's S_hat against every centre, the
+# screened tiles and the exact evaluations), which depend on the
 # coordinates, not on the distance transform; with exceptions, on the path
 # with the kept rows first.  Hinge: the screen's counts summed over the two
 # label classes.  The regression gauge takes the naive kernel on either
 # backend.
 NAIVE = ((741, 0), (670, 0), (1560, 0))
 ORDER = ((76, 0), (76, 0), (80, 0))
-SCREEN = ((1014, 916), (944, 850), (1214, 1082))
+SCREEN = ((1204, 1106), (1121, 1026), (1414, 1282))
 COUNTS = {
     "lipschitz": SCREEN,
     "smooth": SCREEN,
@@ -346,7 +348,7 @@ COUNTS = {
     "smooth-d1": ORDER,
     "local_lipschitz-d1": ORDER,
     "local_smooth-d1": ORDER,
-    "hinge": ((672, 586), (654, 570), (902, 781)),
+    "hinge": ((780, 694), (721, 636), (1022, 901)),
     "regression": NAIVE,
     "discrete": ORDER,
     "discrete-coords": ORDER,

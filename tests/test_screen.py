@@ -8,7 +8,9 @@ grid-valued coordinates (exact distance ties) and one-ulp perturbations
 (near ties).  Small tiles exercise the multi-block paths that only paths
 longer than a tile reach with the default sizes, and a patched cluster
 count puts several clusters (or one per row) in front of the screen at the
-small sizes drawn here, at D in {1, 2, 8} as well as D >= 16.
+small sizes drawn here, at D in {1, 2, 8} as well as D >= 16.  A patched
+sample size makes the centre traversal visit a strided sample of the
+candidates, as it does by default only past 1024 of them.
 """
 
 from contextlib import ExitStack
@@ -75,16 +77,22 @@ def adversarial_coords(draw, dims=(16, 256)):
 
 tiles = st.sampled_from([None, 6, 10, 8])
 # None keeps the derived count (about sqrt(n)); 3 forces a few clusters and
-# 1000 a centre on every distinct row
+# 1000 a centre on every distinct row (of the sample)
 clusters = st.sampled_from([None, 3, 1000])
+# None keeps the default, every candidate at these sizes; 3, 8 and 16 take
+# every candidate up to 3, 8 or 16 of them and a stride of up to 14, 5 or 3
+# past that
+samples = st.sampled_from([None, 3, 8, 16])
 
 
-def _patched(tile, n_clusters):
+def _patched(tile, n_clusters, sample=None):
     stack = ExitStack()
     if tile is not None:
         stack.enter_context(mock.patch.multiple(geometry, _TILE=tile, _EXACT_BATCH=2 * 256))
     if n_clusters is not None:
         stack.enter_context(mock.patch.object(geometry, "_n_clusters", lambda n: n_clusters))
+    if sample is not None:
+        stack.enter_context(mock.patch.object(geometry, "_SAMPLE", sample))
     return stack
 
 
@@ -131,23 +139,23 @@ def _check_leave_one_out(coords, kind, seed, patch):
 
 @SETTINGS
 @given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
-def test_prefix_screen_matches_oracle(coords, kind, seed, tile, n_clusters):
-    _check_prefix(coords, kind, seed, (tile, n_clusters), exceptions=False)
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, sample=samples)
+def test_prefix_screen_matches_oracle(coords, kind, seed, tile, n_clusters, sample):
+    _check_prefix(coords, kind, seed, (tile, n_clusters, sample), exceptions=False)
 
 
 @SETTINGS
 @given(coords=adversarial_coords(), seed=st.integers(0, 2 ** 16), tile=tiles,
-       n_clusters=clusters)
-def test_prefix_screen_with_boundary_exceptions(coords, seed, tile, n_clusters):
-    _check_prefix(coords, "lipschitz", seed, (tile, n_clusters), exceptions=True)
+       n_clusters=clusters, sample=samples)
+def test_prefix_screen_with_boundary_exceptions(coords, seed, tile, n_clusters, sample):
+    _check_prefix(coords, "lipschitz", seed, (tile, n_clusters, sample), exceptions=True)
 
 
 @SETTINGS
 @given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
-def test_leave_one_out_screen_matches_oracle(coords, kind, seed, tile, n_clusters):
-    _check_leave_one_out(coords, kind, seed, (tile, n_clusters))
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, sample=samples)
+def test_leave_one_out_screen_matches_oracle(coords, kind, seed, tile, n_clusters, sample):
+    _check_leave_one_out(coords, kind, seed, (tile, n_clusters, sample))
 
 
 LOW_DIMS = (1, 2, 8)
@@ -155,23 +163,25 @@ LOW_DIMS = (1, 2, 8)
 
 @SETTINGS
 @given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
-def test_low_dimension_prefix_matches_oracle(coords, kind, seed, tile, n_clusters):
-    _check_prefix(coords, kind, seed, (tile, n_clusters), exceptions=False)
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, sample=samples)
+def test_low_dimension_prefix_matches_oracle(coords, kind, seed, tile, n_clusters, sample):
+    _check_prefix(coords, kind, seed, (tile, n_clusters, sample), exceptions=False)
 
 
 @SETTINGS
 @given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
-def test_low_dimension_prefix_with_boundary_exceptions(coords, kind, seed, tile, n_clusters):
-    _check_prefix(coords, kind, seed, (tile, n_clusters), exceptions=True)
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, sample=samples)
+def test_low_dimension_prefix_with_boundary_exceptions(coords, kind, seed, tile, n_clusters,
+                                                       sample):
+    _check_prefix(coords, kind, seed, (tile, n_clusters, sample), exceptions=True)
 
 
 @SETTINGS
 @given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
-       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters)
-def test_low_dimension_leave_one_out_matches_oracle(coords, kind, seed, tile, n_clusters):
-    _check_leave_one_out(coords, kind, seed, (tile, n_clusters))
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, sample=samples)
+def test_low_dimension_leave_one_out_matches_oracle(coords, kind, seed, tile, n_clusters,
+                                                    sample):
+    _check_leave_one_out(coords, kind, seed, (tile, n_clusters, sample))
 
 
 def test_one_cluster_of_more_than_4096_candidates():
