@@ -15,10 +15,21 @@ import functools
 import importlib.util
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path as FsPath
+
+# BLAS runs on one thread unless the caller set a count.  OpenBLAS reads the
+# count once, when numpy loads it, which this module does only later, in the
+# subcommands.  Its second thread costs more than it gives here: on a 2-vCPU
+# VM `import numpy` took 0.21 s against 0.14 s on one thread, a `simulate`
+# of 1024 raster rows 0.37 against 0.29 s, and the screen, whose centres
+# come from a sample and whose products are BLAS-3, ran no slower.  Threads
+# never change an output.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def _lazy_module(name: str):

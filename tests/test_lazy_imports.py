@@ -19,8 +19,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.
 CLI_MAIN = "import sys; from gaugebounds.cli import main; sys.exit(main())"
 
 
-def python(*args):
-    done = subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True,
+def python(*args, env=ENV):
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     return done.stdout
@@ -104,6 +104,31 @@ def test_bound_loads_no_numpy_and_keeps_its_report_bytes(tmp_path):
     assert out.split() == [word for name in BOUND_RUNS for word in (name, "False")]
     digests = {name: report_digest(tmp_path / f"{name}.json") for name in BOUND_RUNS}
     assert digests == {name: digest for name, (_args, digest) in BOUND_RUNS.items()}
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_cli_runs_blas_on_one_thread_unless_a_count_is_set(tmp_path):
+    # ENV was taken after this module imported the CLI, so it may already
+    # hold the CLI's own setting
+    bare = {k: v for k, v in ENV.items() if k not in BLAS_THREADS}
+    show = ("import json, os, sys\n"
+            "import gaugebounds.cli\n"
+            f"print(json.dumps([{{k: os.environ[k] for k in {BLAS_THREADS!r} if k in os.environ}},"
+            " 'numpy' in sys.modules]))\n")
+    assert json.loads(python("-c", show, env=bare)) == [{"OPENBLAS_NUM_THREADS": "1"}, False]
+    for name, value in (("OMP_NUM_THREADS", "3"), ("OPENBLAS_NUM_THREADS", "2"),
+                        ("GOTO_NUM_THREADS", "2")):
+        out = python("-c", show, env=dict(bare, **{name: value}))
+        assert json.loads(out) == [{name: value}, False]
+    # bound still runs without numpy under the policy
+    args, digest = BOUND_RUNS["excess-process"]
+    out = tmp_path / "bound.json"
+    code = ("import sys; from gaugebounds.cli import main\n"
+            "assert main(sys.argv[1:]) == 0; print('numpy' in sys.modules)")
+    assert python("-c", code, "bound", *args, "--out", str(out), env=bare).split() == ["False"]
+    assert report_digest(out) == digest
 
 
 def test_threaded_coverage_in_a_fresh_process_matches_one_thread(tmp_path):
