@@ -24,10 +24,11 @@ from pathlib import Path as FsPath
 # BLAS runs on one thread unless the caller set a count.  OpenBLAS reads the
 # count once, when numpy loads it, which this module does only later, in the
 # subcommands.  Its second thread costs more than it gives here: on a 2-vCPU
-# VM `import numpy` took 0.21 s against 0.14 s on one thread, a `simulate`
-# of 1024 raster rows 0.37 against 0.29 s, and the screen, whose centres
-# come from a sample and whose products are BLAS-3, ran no slower.  Threads
-# never change an output.
+# VM `import numpy` took 0.16 s against 0.10 s on one thread, a `simulate`
+# of 1024 raster rows 0.36 against 0.30 s, and the screen, whose centres
+# come from a sample and whose products are BLAS-3, ran no slower on one
+# thread than the kernel before it on two.  The minima are exact kernel
+# values, so the count cannot change them.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

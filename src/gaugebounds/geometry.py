@@ -637,6 +637,9 @@ def _euclid_min_screened(
         n, dim = coords.shape
         m = queries.size
         mins = np.full(m, np.inf)
+        n_cand = int(limits.max())
+        if n_cand == 0:
+            return mins, 0, 0
         big = np.finfo(np.float64).max
 
         # step (2): centre on the midrange, scale by a power of two to max|z| < 1;
@@ -650,9 +653,6 @@ def _euclid_min_screened(
         norms = np.einsum("ij,ij->i", z, z)
 
         # centres from an evenly strided sample of the candidate rows
-        n_cand = int(limits.max())
-        if n_cand == 0:
-            return mins, 0, 0
         stride = -(-n_cand // _SAMPLE)
         sample = slice(0, n_cand, stride)
         k = min(_n_clusters(n_cand), -(-n_cand // stride))

@@ -299,3 +299,17 @@ def test_kernel_overflow_near_the_float_range():
         huge = rng.random(30) < 0.3
         coords[huge] = rng.choice([-big, big, 1e300], (int(huge.sum()), 16))
         _assert_backends_agree(SamplePath.from_coords(coords))
+
+
+def test_cluster_bound_keeps_its_error_term():
+    # a hypothesis find: offsets of 1e6 make the uncorrected S_hat from a
+    # query to a centre err by more than the distances inside a cluster, so
+    # without step (6)'s error term the cluster that holds the minimum is
+    # pruned
+    coords = np.array([
+        [-0.0, 0.0], [1000000.0004911107, 1000000.0002527506],
+        [1000000.0014247975, 1000000.0003114899], [0.0, 999999.9995422321],
+        [999999.9998702027, 999999.9987956545], [999999.9988750677, 1000000.0005747556],
+        [999999.9991009417, 1000000.0005053553], [1000000.0003099806, 999999.9995274608],
+        [1000000.0004911108, -0.0]])
+    _check_prefix(coords, "hinge", 1, (None, 3), exceptions=False)
