@@ -1,10 +1,11 @@
-"""The output bytes of simulate, estimate, coverage and a study.
+"""The output bytes of simulate, estimate, every validate check and a study.
 
 estimate runs on every kernel the indexed kind picks: the order kernel (D = 1
 and the discrete metric), the certified screen (a Fourier-8 path, and a
 raster path at D = 256 long enough that the screen picks its centres from a
 strided sample of the candidates), hinge labels at D = 1 and D = 8, and the
-regression gauge at D = 2.
+regression gauge at D = 2.  Coverage runs on a circle, a cycle and a
+Fourier-8 circle, whose true missing mass runs on the screen.
 
 Each output file's sha256, with its generated_at timestamp and its
 distance_evaluations work counter removed (test_contract.py pins the
@@ -248,6 +249,13 @@ DIGESTS = {
         "84af06222e22f9d77616accb5043172e56743c05c950db0195b1c1a12bcbce99",
     "raster-study-long":
         "59c3238e433408c2eee3cf4b2272060d0fd06b9abd402800cc607ed780b118b6",
+    # recorded before the screen's certificate steps became functions
+    "validate-coverage-fourier8":
+        "39157f8e602127c6d7b198094ce0ccf32c3b38ee6574a31df4253dcfa0a4fb27",
+    "validate-martingale":
+        "f8d9c352d05a7fe161b3bafe7dc722ee086f6eb4f872019e2e237d35ffa84513",
+    "validate-good-turing":
+        "a834992a4296653deec5dc9e582969e84aee9316606cda75ecbc9ba340fa1d27",
 }
 
 
@@ -314,6 +322,25 @@ def test_coverage_keeps_its_bytes(tmp_path, process):
                  "--tau", "2", "--t", "0.05", "--trials", "20", "--mc-fresh", "200",
                  "--seed", "3", "--out", str(out)]) == 0
     assert report_digest(out) == DIGESTS[f"coverage-{process}"]
+
+
+# the validate checks not pinned above, with the arguments before --seed
+VALIDATE = {
+    "coverage-fourier8": ["coverage", "--process", "circle:p=0.1", "--embedding", "fourier:D=8",
+                          "--n", "64", "--tau", "2", "--t", "0.3", "--trials", "20",
+                          "--mc-fresh", "200"],
+    "martingale": ["martingale", "--chain", "mmb:stay0=0.8,stay1=0.7,q0=0.2,q1=0.6",
+                   "--n", "64", "--trials", "100"],
+    "good-turing": ["good-turing", "--symbols", "12", "--n", "64", "--t", "0.5",
+                    "--trials", "50"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE))
+def test_validate_keeps_its_bytes(tmp_path, name):
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--check", *VALIDATE[name], "--seed", "3", "--out", str(out)]) == 0
+    assert report_digest(out) == DIGESTS[f"validate-{name}"]
 
 
 def test_identity_study_on_the_index_keeps_its_bytes(tmp_path):
