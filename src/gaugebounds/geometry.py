@@ -32,6 +32,7 @@ concurrent use.  +inf is IEEE infinity, never a sentinel.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -488,11 +489,23 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # summation order or thread count the BLAS uses.  A cluster layer in front
 # (step (6)) skips whole groups of candidates by the same kind of bound.
 #
+# For c candidates, about sqrt(c) farthest-point centres are picked from an
+# evenly strided sample of at most _SAMPLE of them.  Every row joins its
+# nearest centre, and the candidates are stored in one scaled array ordered
+# by (cluster, position), so the members a query admits are a prefix of
+# each cluster's slice.  Pass 1 screens every query against its own
+# cluster, which gives a tight upper bound; pass 2 visits each other cluster
+# once, with the queries step (6) cannot prune for it, and evaluates only
+# after all of them, at each row's best screened pair and at the pairs the
+# final bound cannot prune.  With one centre this is the plain screen.
+#
 # Derivation.  u = 2^-53, eta = 2^-1074 (an underflowing product or scaling
 # errs by at most eta/2; additions never do), gamma_k = k u / (1 - k u)
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Pairs
 # are q, x in R^D, S = ||x - q||^2 in real arithmetic, and
-# K = fl(sqrt(sum_k fl(fl(x_k - q_k)^2))) is the kernel value.
+# K = fl(sqrt(sum_k fl(fl(x_k - q_k)^2))) is the kernel value.  Steps (2)
+# to (6) stand beside the one function that computes each: _centre_and_shift
+# and _scale, _s_hat, _lower_bound, _prune_threshold and _reach.
 #
 #  (1) Kernel.  fl(x_k - q_k) = (x_k - q_k)(1 + d), |d| <= u; a square
 #      loses a factor (1 - u) and at most eta/2; a sum of D nonnegative
@@ -501,55 +514,6 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 #          K^2 >= (1-u)^2 (1-gamma_{D-1}) ((1-u)^3 S - D eta/2),
 #      and K <= UB implies S <= UB^2 (1 + gamma_{D+5}) + D eta.  An
 #      overflowing kernel returns +inf, which satisfies every lower bound.
-#  (2) Centring and scaling.  z = fl(x - c) * 2^s with c the float midrange
-#      of each coordinate and 2^s the power of two that puts max|z| below 1;
-#      the scaling is exact except for underflow.  With t = 2^s (x - q),
-#      a = z_x - z_q and P = ||z_x|| + ||z_q|| <= 2 sqrt(D):
-#          ||t - a|| <= (u / (1-u)) P + 2 sqrt(D) eta,
-#          ||t||^2 >= ||a||^2 - (2u / (1-u)) P^2 - 8 D eta.
-#  (3) Gram form.  Norms n = fl(z.z) and the BLAS products
-#      G = fl(z_q . z_x) each carry at most gamma_D |z_q|.|z_x| + D eta
-#      (any summation order, with or without FMA; classical products only,
-#      no Strassen-type algorithm), and S_hat = fl(n_q + n_x - 2 G) in any
-#      order adds gamma_2 (n_q + n_x + 2|G|).  Since
-#      ||a||^2 = ||z_q||^2 + ||z_x||^2 - 2 z_q.z_x,
-#          ||a||^2 >= S_hat - gamma_{D+2} P^2 - 5 D eta.
-#  (4) ||z||^2 <= (n + D eta) / (1 - gamma_D) and (a + b)^2 <= 2a^2 + 2b^2
-#      give P^2 <= 2 (sqrt(n_q) + sqrt(n_x))^2 / (1 - gamma_D) + 16 D eta.
-#      With r = fl(sqrt(fl(kappa n))), R = fl(r_q + r_x) and
-#      kappa = 4 gamma_{D+4}, fl(R R) >= gamma_{D+4} P^2 - D 2^-501: the
-#      factor 2 left over covers the roundings of kappa, r, R and R R.  A
-#      tile may put its largest r_x in R for every x: rounding is monotone,
-#      so that only raises fl(R R) and lowers L.
-#      As gamma_{D+2} + 2u / (1-u) <= gamma_{D+4}, (2) and (3) give
-#          ||t||^2 >= L / (1+u) - D 2^-500,  L = fl(S_hat - fl(R R)),
-#      for L >= 0; D 2^-500 bounds every eta term, those of the
-#      underflowed norms included.
-#  (5) Prune rule.  With U = UB 2^s, (1) and (4) give: a pair with L > T,
-#          T = fl(U U) (1 + gamma_{2D+16}) + 2 D 2^(2s-1074) + D 2^-499,
-#      has K > UB.  The factor and the doubled terms absorb (1+u), the
-#      underflow of U and the rounding of T itself.  2^(2s-1074) is the
-#      kernel's own underflow in the scaled units: for coordinates near
-#      1e-160 it is large and few pairs are pruned; for subnormal-only data
-#      it overflows and none are.
-#  (6) Cluster rule.  Each candidate belongs to one centre c (a path row),
-#      and r = max K(x, c) over the cluster's members x is exact.  By (1),
-#      2^s ||x - c|| <= 2^s r (1 + gamma_{D+5}) + sqrt(D) 2^(s-537).  For a
-#      query q, (4) with sqrt(a - b) >= sqrt(a) - sqrt(b) and
-#      1/sqrt(1+u) >= 1 - u/2 gives, for the pair (q, c) and any sign of L,
-#          2^s ||q - c|| >= fl(sqrt(max(L, 0))) (1 - 2u) - sqrt(D) 2^-250.
-#      By the triangle inequality ||q - x|| >= ||q - c|| - ||x - c||, and by
-#      (1) a pair with 2^s ||q - x|| > U (1 + gamma_{D+5}) + sqrt(D) 2^(s-537)
-#      has K > UB.  So every member is pruned when
-#          fl(sqrt(max(L, 0))) > fl(fl(fl(r 2^s + U) F) + A),
-#          F = 1 + gamma_{D+16},  A = sqrt(D) (2^(s-535) + 2^-249).
-#      F covers gamma_{D+5}, the (1 - 2u) and the roundings of the sum, the
-#      product and F itself; A doubles sqrt(D) (2^(s-536) + 2^-250), which
-#      covers the underflow of r 2^s and U (eta/2 each) and the roundings of
-#      A and the last sum.  The rule is valid for any centres; the uncertified
-#      Gram values only choose them.  An overflowing r 2^s or U makes the
-#      right side +inf, and for data whose kernel underflows (s near 1074)
-#      A exceeds every left side, so neither prunes anything.
 #
 # Ranges.  Coordinates are finite and c lies between each coordinate's
 # extremes, so |x - c| <= (hi - lo) / 2 cannot overflow; after scaling,
@@ -569,6 +533,105 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+#  (2) Centring and scaling.  z = fl(x - c) * 2^s with c the float midrange
+#      of each coordinate and 2^s the power of two that puts max|z| below 1;
+#      the scaling is exact except for underflow.  With t = 2^s (x - q),
+#      a = z_x - z_q and P = ||z_x|| + ||z_q|| <= 2 sqrt(D):
+#          ||t - a|| <= (u / (1-u)) P + 2 sqrt(D) eta,
+#          ||t||^2 >= ||a||^2 - (2u / (1-u)) P^2 - 8 D eta.
+#      fl(x - c) is monotone in x, so each column's extremes give max|z|.
+def _centre_and_shift(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    mid = 0.5 * lo + 0.5 * hi
+    amax = max(float((hi - mid).max()), float((mid - lo).max()))
+    return mid, (-int(np.frexp(amax)[1]) if amax > 0.0 else 0)
+
+
+def _scale(x: np.ndarray, mid: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    np.subtract(x, mid, out=out)
+    return np.ldexp(out, s, out=out)
+
+
+#  (3) Gram form.  Norms n = fl(z.z) and the BLAS products
+#      G = fl(z_q . z_x) each carry at most gamma_D |z_q|.|z_x| + D eta
+#      (any summation order, with or without FMA; classical products only,
+#      no Strassen-type algorithm), and S_hat = fl(n_q + n_x - 2 G) in any
+#      order adds gamma_2 (n_q + n_x + 2|G|).  Since
+#      ||a||^2 = ||z_q||^2 + ||z_x||^2 - 2 z_q.z_x,
+#          ||a||^2 >= S_hat - gamma_{D+2} P^2 - 5 D eta.
+#      _gram is the screen's one Gram product.
+def _gram(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.matmul(a, b, out=out)
+
+
+#      S_hat = fl(fl(-2 G + n_a) + n_b): one of a, b carries the factor -2.
+def _s_hat(a: np.ndarray, b: np.ndarray, na, nb, out: np.ndarray | None = None) -> np.ndarray:
+    s_hat = _gram(a, b, out)
+    s_hat += na
+    s_hat += nb
+    return s_hat
+
+
+#  (4) ||z||^2 <= (n + D eta) / (1 - gamma_D) and (a + b)^2 <= 2a^2 + 2b^2
+#      give P^2 <= 2 (sqrt(n_q) + sqrt(n_x))^2 / (1 - gamma_D) + 16 D eta.
+#      With r = fl(sqrt(fl(kappa n))), R = fl(r_q + r_x) and
+#      kappa = 4 gamma_{D+4}, fl(R R) >= gamma_{D+4} P^2 - D 2^-501: the
+#      factor 2 left over covers the roundings of kappa, r, R and R R.  A
+#      tile may put its largest r_x in R for every x: rounding is monotone,
+#      so that only raises fl(R R) and lowers L.
+#      As gamma_{D+2} + 2u / (1-u) <= gamma_{D+4}, (2) and (3) give
+#          ||t||^2 >= L / (1+u) - D 2^-500,  L = fl(S_hat - fl(R R)),
+#      for L >= 0; D 2^-500 bounds every eta term, those of the
+#      underflowed norms included.
+#      fl(kappa n) and the square root are monotone, so the largest r_x
+#      is the r of the largest n_x.
+def _lower_bound(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
+    kappa = 4.0 * _gamma(dim + 4)
+    rr = np.sqrt(kappa * na) + np.sqrt(kappa * nb)
+    rr *= rr
+    s_hat -= rr
+    return s_hat
+
+
+#  (5) Prune rule.  With U = UB 2^s, (1) and (4) give: a pair with L > T,
+#          T = fl(U U) (1 + gamma_{2D+16}) + 2 D 2^(2s-1074) + D 2^-499,
+#      has K > UB.  The factor and the doubled terms absorb (1+u), the
+#      underflow of U and the rounding of T itself.  2^(2s-1074) is the
+#      kernel's own underflow in the scaled units: for coordinates near
+#      1e-160 it is large and few pairs are pruned; for subnormal-only data
+#      it overflows and none are.  Where UB is 0, T is -inf.
+def _prune_threshold(ub: np.ndarray, s: int, dim: int) -> np.ndarray:
+    uu = np.ldexp(ub, s)
+    t_abs = float(np.ldexp(2.0 * dim, 2 * s - 1074)) + math.ldexp(dim, -499)
+    thr = np.minimum(uu * uu * (1.0 + _gamma(2 * dim + 16)) + t_abs, np.finfo(np.float64).max)
+    thr[ub == 0.0] = -np.inf
+    return thr
+
+
+#  (6) Cluster rule.  Each candidate belongs to one centre c (a path row),
+#      and r = max K(x, c) over the cluster's members x is exact.  By (1),
+#      2^s ||x - c|| <= 2^s r (1 + gamma_{D+5}) + sqrt(D) 2^(s-537).  For a
+#      query q, (4) with sqrt(a - b) >= sqrt(a) - sqrt(b) and
+#      1/sqrt(1+u) >= 1 - u/2 gives, for the pair (q, c) and any sign of L,
+#          2^s ||q - c|| >= fl(sqrt(max(L, 0))) (1 - 2u) - sqrt(D) 2^-250.
+#      By the triangle inequality ||q - x|| >= ||q - c|| - ||x - c||, and by
+#      (1) a pair with 2^s ||q - x|| > U (1 + gamma_{D+5}) + sqrt(D) 2^(s-537)
+#      has K > UB.  So every member is pruned when
+#          fl(sqrt(max(L, 0))) > fl(fl(fl(r 2^s + U) F) + A),
+#          F = 1 + gamma_{D+16},  A = sqrt(D) (2^(s-535) + 2^-249).
+#      F covers gamma_{D+5}, the (1 - 2u) and the roundings of the sum, the
+#      product and F itself; A doubles sqrt(D) (2^(s-536) + 2^-250), which
+#      covers the underflow of r 2^s and U (eta/2 each) and the roundings of
+#      A and the last sum.  The rule is valid for any centres; the uncertified
+#      Gram values only choose them.  An overflowing r 2^s or U makes the
+#      right side +inf, and for data whose kernel underflows (s near 1074)
+#      A exceeds every left side, so neither prunes anything.
+#      _reach takes U and fl(r 2^s).
+def _reach(uu: np.ndarray, rr, s: int, dim: int) -> np.ndarray:
+    a_abs = math.ldexp(math.sqrt(dim), s - 535) + math.ldexp(math.sqrt(dim), -249)
+    return (uu + rr) * (1.0 + _gamma(dim + 16)) + a_abs
+
+
 def _n_clusters(n: int) -> int:
     """Farthest-point centres for n candidate rows: about sqrt(n)."""
     return max(1, math.isqrt(n))
@@ -583,28 +646,121 @@ _SAMPLE = 1024
 
 
 def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """Up to k rows of z by farthest-point traversal from row 0, and the
-    number of pairs valued on the way (len(z) per traversal step).
-
-    Rows are compared by S_hat = fl(n_x + n_c - 2 G) of step (3).
-    Uncorrected, these values only choose the centres, and step (6) holds
-    for any centres.
-    """
+    """Up to k rows of z by farthest-point traversal from row 0, compared by
+    the uncorrected S_hat (step (6) holds for any centres), and the number
+    of pairs valued on the way (len(z) per traversal step)."""
     far = np.full(z.shape[0], np.inf)
     row = np.empty(z.shape[0])
     centres, steps = [0], 0
     while len(centres) < k:
         c = centres[-1]
-        np.matmul(z, -2.0 * z[c], out=row)
+        _s_hat(z, -2.0 * z[c], norms, norms[c], row)
         steps += 1
-        row += norms
-        row += norms[c]
         np.minimum(far, row, out=far)
         c = int(far.argmax())          # the lowest index among ties
         if not far[c] > 0.0:
             break                      # every row sits on a centre
         centres.append(c)
     return np.asarray(centres, dtype=np.intp), steps * z.shape[0]
+
+
+def _centre_bounds(z: np.ndarray, norms: np.ndarray,
+                   centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centre by S_hat (ties to the earlier one) and the
+    (centres, rows) array of step (6)'s left side fl(sqrt(max(L, 0)))."""
+    (n, dim), k = z.shape, centres.size
+    lam = np.empty((k, n))
+    nearest = np.empty(n, dtype=np.intp)
+    zc2, n_c = -2.0 * z[centres].T, norms[centres]
+    step = max(1, (_TILE >> 4) // k)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        blk = _s_hat(z[rows], zc2, norms[rows, None], n_c)
+        nearest[rows] = blk.argmin(axis=1)
+        _lower_bound(blk, norms[rows, None], n_c, dim)
+        np.maximum(blk, 0.0, out=blk)
+        lam[:, rows] = np.sqrt(blk, out=blk).T
+    return nearest, lam
+
+
+# One screen call: the path rows coords, the queries (path rows) with their
+# limits, and the candidates in cluster order: path rows perm with their
+# scaled rows z and norms, cluster b at bounds[b]:bounds[b + 1], and each
+# query's place qpos in that order.
+_Screen = namedtuple("_Screen", "coords queries limits skip_self s perm z norms bounds qpos")
+
+
+def _kernel(coords: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_euclid_row of the path rows a against the rows b, pair by pair."""
+    out = np.empty(a.size)
+    batch = max(1, _EXACT_BATCH // coords.shape[1])
+    for e0 in range(0, a.size, batch):
+        out[e0: e0 + batch] = _euclid_row(coords[a[e0: e0 + batch]], coords[b[e0: e0 + batch]])
+    return out
+
+
+def _evaluate(scr: _Screen, mins: np.ndarray, rq: np.ndarray, cand: np.ndarray) -> int:
+    """Lower mins[rq] to the exact kernel against path rows cand; count the pairs."""
+    np.minimum.at(mins, rq, _kernel(scr.coords, cand, scr.queries[rq]))
+    return rq.size
+
+
+def _cluster_tiles(scr: _Screen, b: int, rows: np.ndarray, buf: np.ndarray):
+    """(query numbers, L, path rows of the columns) per tile of the queries
+    rows against the members of cluster b that each admits, a prefix of the
+    cluster's slice; L is step (4)'s, with the largest r_x for every x."""
+    c0 = int(scr.bounds[b])
+    cnt = np.searchsorted(scr.perm[c0: scr.bounds[b + 1]], scr.limits[rows])
+    rows, cnt = rows[cnt > 0], cnt[cnt > 0]
+    per = max(1, (_TILE >> 4) // int(cnt.max(initial=1)))
+    for b0 in range(0, rows.size, per):
+        br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
+        qp, w = scr.qpos[br], int(bc.max())
+        zq2, end = scr.z[qp], c0 + w
+        zq2 *= -2.0
+        lt = _s_hat(zq2, scr.z[c0:end].T, scr.norms[qp, None], scr.norms[c0:end],
+                    buf[: br.size * w].reshape(br.size, w))
+        _lower_bound(lt, scr.norms[qp, None], scr.norms[c0:end].max(), scr.z.shape[1])
+        # inadmissible pairs get +inf, which the clamped T always prunes
+        if w > bc.min():
+            lt[np.arange(w)[None, :] >= bc[:, None]] = np.inf
+        if scr.skip_self:
+            mine = (qp >= c0) & (qp < end)
+            lt[np.flatnonzero(mine), qp[mine] - c0] = np.inf
+        yield br, lt, scr.perm[c0:end]
+
+
+def _screen_own(scr: _Screen, b: int, rows: np.ndarray, mins: np.ndarray,
+                buf: np.ndarray) -> tuple[int, int]:
+    """Pass 1 over cluster b for the queries rows; lowers mins and returns
+    the screened and the evaluated pair counts."""
+    screened = exact = 0
+    dim = scr.z.shape[1]
+    for br, lt, cand in _cluster_tiles(scr, b, rows, buf):
+        screened += lt.size
+        # upper bound: the exact kernel at the row's best pair, where that pair
+        # survives the bound attained so far; then every pair step (5) cannot
+        # prune under it
+        ar = np.arange(br.size)
+        best = lt.argmin(axis=1)
+        hit = ar[lt[ar, best] <= _prune_threshold(mins[br], scr.s, dim)]
+        exact += _evaluate(scr, mins, br[hit], cand[best[hit]])
+        lt[hit, best[hit]] = np.inf
+        sr, sc = np.nonzero(lt <= _prune_threshold(mins[br], scr.s, dim)[:, None])
+        exact += _evaluate(scr, mins, br[sr], cand[sc])
+    return screened, exact
+
+
+def _screen_kept(scr: _Screen, b: int, rows: np.ndarray, thr: np.ndarray,
+                 buf: np.ndarray) -> tuple[int, list]:
+    """Pass 2 over cluster b for the queries rows: the screened pair count and
+    the pairs thr cannot prune, as (query numbers, path rows, L) per tile."""
+    screened, kept = 0, []
+    for br, lt, cand in _cluster_tiles(scr, b, rows, buf):
+        screened += lt.size
+        sr, sc = np.nonzero(lt <= thr[br, None])
+        kept.append((br[sr], cand[sc], lt[sr, sc]))
+    return screened, kept
 
 
 def _euclid_min_screened(
@@ -621,65 +777,25 @@ def _euclid_min_screened(
     sample's rows per traversal step, n per centre, then every screened
     tile) and the number of exact kernel evaluations (one radius per
     candidate, then the survivors).  Pure; the buffers live for one call.
-
-    For c candidates, about sqrt(c) farthest-point centres are picked from
-    an evenly strided sample of at most _SAMPLE of them.  Every row joins
-    its nearest centre, and the candidates are stored in one scaled array
-    ordered by (cluster, position), so the members a query admits are a
-    prefix of each cluster's slice.  Pass 1 screens every query against its
-    own cluster, which gives a tight upper bound; pass 2 visits each other
-    cluster once, with the queries step (6) cannot prune for it, and
-    evaluates only after all of them, at each row's best screened pair and
-    at the pairs the final bound cannot prune.
-    With one centre this is the plain screen.
     """
     with np.errstate(over="ignore"):
         n, dim = coords.shape
-        m = queries.size
-        mins = np.full(m, np.inf)
+        mins = np.full(queries.size, np.inf)
         n_cand = int(limits.max())
         if n_cand == 0:
             return mins, 0, 0
-        big = np.finfo(np.float64).max
-
-        # step (2): centre on the midrange, scale by a power of two to max|z| < 1;
-        # fl(x - mid) is monotone in x, so each column's extremes give max|z|
-        lo, hi = coords.min(axis=0), coords.max(axis=0)
-        mid = 0.5 * lo + 0.5 * hi
-        amax = max(float((hi - mid).max()), float((mid - lo).max()))
-        s = -int(np.frexp(amax)[1]) if amax > 0.0 else 0
-        z = coords - mid
-        np.ldexp(z, s, out=z)
+        mid, s = _centre_and_shift(coords)
+        z = _scale(coords, mid, s, np.empty((n, dim)))
         norms = np.einsum("ij,ij->i", z, z)
 
-        # centres from an evenly strided sample of the candidate rows
+        # centres from an evenly strided sample of the candidate rows; every
+        # row's nearest centre and step (6)'s left side
         stride = -(-n_cand // _SAMPLE)
-        sample = slice(0, n_cand, stride)
         k = min(_n_clusters(n_cand), -(-n_cand // stride))
-        centres, screened = _farthest_point_centres(z[sample], norms[sample], k)
+        centres, screened = _farthest_point_centres(z[:n_cand:stride], norms[:n_cand:stride], k)
         centres *= stride
         k = centres.size
-        exact = 0
-
-        # step (3)'s S_hat for every (row, centre) pair, one product in blocks
-        # of rows; each row's nearest centre (ties to the earlier one); then
-        # step (6)'s left side, stored by centre
-        lam = np.empty((k, n))
-        nearest = np.empty(n, dtype=np.intp)
-        rho = np.sqrt(4.0 * _gamma(dim + 4) * norms)
-        zc2, n_c, rho_c = -2.0 * z[centres].T, norms[centres], rho[centres]
-        step = max(1, (_TILE >> 4) // k)
-        for r0 in range(0, n, step):
-            rows = slice(r0, r0 + step)
-            blk = np.matmul(z[rows], zc2)
-            blk += norms[rows, None]
-            blk += n_c
-            nearest[rows] = blk.argmin(axis=1)
-            rr = rho[rows, None] + rho_c
-            rr *= rr
-            blk -= rr
-            np.maximum(blk, 0.0, out=blk)
-            lam[:, rows] = np.sqrt(blk, out=blk).T
+        nearest, lam = _centre_bounds(z, norms, centres)
         screened += n * k
 
         # rows ordered by (cluster, position); non-candidates go last
@@ -692,132 +808,44 @@ def _euclid_min_screened(
         # so the new copy came from the heap, which keeps freed pages. perm is
         # in range, so mode="clip" clips nothing; it lets take write straight
         # into z instead of through a temporary
-        np.take(coords, perm, axis=0, out=z, mode="clip")
-        z -= mid
-        np.ldexp(z, s, out=z)
-        norms, rho = norms[perm], rho[perm]
-        pos = np.empty(n, dtype=np.intp)
-        pos[perm] = np.arange(n)
-        qpos = pos[queries]
-        t_factor = 1.0 + _gamma(2 * dim + 16)
-        t_abs = float(np.ldexp(2.0 * dim, 2 * s - 1074)) + math.ldexp(dim, -499)
-        batch = max(1, _EXACT_BATCH // dim)
+        _scale(np.take(coords, perm, axis=0, out=z, mode="clip"), mid, s, z)
+        scr = _Screen(coords, queries, limits, skip_self, s, perm, z, norms[perm], bounds,
+                      np.argsort(perm)[queries])
         # a tile is a block of query rows against one whole cluster slice
         buf = np.empty(max(_TILE >> 4, int(np.diff(bounds).max())))
 
-        def threshold(ub):
-            # step (5): the largest L a pair may have and still reach below ub
-            uu = np.ldexp(ub, s)
-            thr = np.minimum(uu * uu * t_factor + t_abs, big)
-            thr[ub == 0.0] = -np.inf
-            return thr
-
-        def evaluate(rq, cand):
-            # the exact kernel for query numbers rq against path rows cand
-            nonlocal exact
-            exact += rq.size
-            for e0 in range(0, rq.size, batch):
-                r_k = rq[e0: e0 + batch]
-                np.minimum.at(mins, r_k, _euclid_row(coords[cand[e0: e0 + batch]],
-                                                     coords[queries[r_k]]))
-
-        found = []        # pass 2: pairs its fixed thresholds cannot prune
-
-        def screen(b, rows, fixed=None):
-            # query numbers rows against the members of cluster b each admits, a
-            # prefix of the cluster's slice; with fixed thresholds, keep the
-            # survivors in found for later
-            nonlocal screened
-            c0 = int(bounds[b])
-            cnt = np.searchsorted(perm[c0: bounds[b + 1]], limits[rows])
-            rows, cnt = rows[cnt > 0], cnt[cnt > 0]
-            if rows.size == 0:
-                return
-            per = max(1, (_TILE >> 4) // int(cnt.max()))
-            for b0 in range(0, rows.size, per):
-                br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
-                bq = br.size
-                qp = qpos[br]
-                zq2 = z[qp]
-                zq2 *= -2.0
-                ar = np.arange(bq)
-                end = c0 + int(bc.max())
-                w = end - c0
-                # step (4): L = (n_q + n_x - 2 G) - (r_q + r_x)^2, with the
-                # tile's largest r_x for every x
-                lt = buf[: bq * w].reshape(bq, w)
-                np.matmul(zq2, z[c0:end].T, out=lt)
-                lt += norms[qp, None]
-                lt += norms[None, c0:end]
-                rr = rho[qp] + rho[c0:end].max()
-                rr *= rr
-                lt -= rr[:, None]
-                screened += bq * w
-                # inadmissible pairs get +inf, which the clamped T always prunes
-                if w > bc.min():
-                    lt[np.arange(w)[None, :] >= bc[:, None]] = np.inf
-                if skip_self:
-                    mine = (qp >= c0) & (qp < end)
-                    lt[ar[mine], qp[mine] - c0] = np.inf
-                best = lt.argmin(axis=1)
-                low = lt[ar, best]
-                if fixed is not None:
-                    # keep every pair the bounds of pass 1 cannot prune, for
-                    # evaluation after the pass; rows whose best pair is
-                    # pruned hold none
-                    near = ar[low <= fixed[br]]
-                    if near.size:
-                        sr, sc = np.nonzero(lt[near] <= fixed[br[near], None])
-                        sr = near[sr]
-                        found.append((br[sr], perm[c0 + sc], lt[sr, sc]))
-                    continue
-                # upper bound: the exact kernel at the row's best pair, where
-                # that pair survives the bound attained so far
-                hit = ar[low <= threshold(mins[br])]
-                evaluate(br[hit], perm[c0 + best[hit]])
-                lt[hit, best[hit]] = np.inf
-                # step (5): evaluate exactly every pair the rule cannot prune
-                sr, sc = np.nonzero(lt <= threshold(mins[br])[:, None])
-                evaluate(br[sr], perm[c0 + sc])
-
         # pass 1: every query against the admitted members of its own cluster
         own = nearest[queries]
-        order = np.argsort(own, kind="stable")
-        qbounds = np.searchsorted(own[order], np.arange(k + 1))
         filled = np.flatnonzero(bounds[:-1] < bounds[1:])
-        for b in filled:
-            screen(b, order[qbounds[b]: qbounds[b + 1]])
+        counts = [_screen_own(scr, b, np.flatnonzero(own == b), mins, buf) for b in filled]
+        screened, exact = screened + sum(c for c, _ in counts), sum(e for _, e in counts)
         if k == 1:
             return mins, screened, exact
 
         # cluster radii: the exact kernel of every member against its centre
-        rad = np.empty(n_cand)
-        for b0 in range(0, n_cand, batch):
-            rows = perm[b0: min(n_cand, b0 + batch)]
-            rad[b0: b0 + batch] = _euclid_row(coords[rows], coords[centres[key[rows]]])
+        rad = _kernel(coords, perm[:n_cand], centres[key[perm[:n_cand]]])
         exact += n_cand
         radius = np.zeros(k)
         radius[filled] = np.maximum.reduceat(rad, bounds[filled])
 
         # pass 2: each other cluster with the queries step (6) cannot prune for
-        # it under the bounds of pass 1
-        f_factor = 1.0 + _gamma(dim + 16)
-        a_abs = math.ldexp(math.sqrt(dim), s - 535) + math.ldexp(math.sqrt(dim), -249)
+        # it under the bounds of pass 1, evaluated after all of them: each
+        # row's best kept pair first, then what its bound leaves
         reach_q, reach_c = np.ldexp(mins, s), np.ldexp(radius, s)
-        fixed = threshold(mins)
+        thr, found = _prune_threshold(mins, s, dim), []
         for b in filled:
-            live = lam[b, queries] <= (reach_q + reach_c[b]) * f_factor + a_abs
-            live[own == b] = False
-            screen(b, np.flatnonzero(live), fixed)
+            live = (lam[b, queries] <= _reach(reach_q, reach_c[b], s, dim)) & (own != b)
+            count, kept = _screen_kept(scr, b, np.flatnonzero(live), thr, buf)
+            screened += count
+            found += kept
         if found:
-            # each row's best kept pair first, then what its bound leaves
             rq, cand, low = (np.concatenate(part) for part in zip(*found))
             order = np.lexsort((low, rq))
-            first = order[np.r_[True, rq[order[1:]] != rq[order[:-1]]]]
-            evaluate(rq[first], cand[first])
-            left = low <= threshold(mins)[rq]
+            first = order[np.diff(rq[order], prepend=-1) != 0]
+            exact += _evaluate(scr, mins, rq[first], cand[first])
+            left = low <= _prune_threshold(mins, s, dim)[rq]
             left[first] = False
-            evaluate(rq[left], cand[left])
+            exact += _evaluate(scr, mins, rq[left], cand[left])
         return mins, screened, exact
 
 
