@@ -10,10 +10,13 @@ longer than a tile reach with the default sizes, and a patched cluster
 count puts several clusters (or one per row) in front of the screen at the
 small sizes drawn here, at D in {1, 2, 8} as well as D >= 16.  A patched
 sample size makes the centre traversal visit a strided sample of the
-candidates, as it does by default only past 1024 of them.
+candidates, as it does by default only past 1024 of them.  A patched Gram
+product sums its terms in ascending or descending order of magnitude,
+orders that the host's BLAS never takes: the certificates hold for any.
 """
 
 from contextlib import ExitStack
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -32,8 +35,8 @@ from gaugebounds import (
 from gaugebounds import geometry
 from gaugebounds.processes import EmbeddingSpec, ProcessSpec, embed, simulate
 
-SETTINGS = settings(max_examples=120, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+# the example count comes from the loaded profile (conftest.py)
+SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 GAUGES = {
     "lipschitz": GaugeSpec.lipschitz(1.5),
@@ -85,8 +88,30 @@ clusters = st.sampled_from([None, 3, 1000])
 samples = st.sampled_from([None, 3, 8, 16])
 
 
-def _patched(tile, n_clusters, sample=None):
+def _sequential_gram(a, b, out=None, descending=False):
+    """a @ b with each entry's products fl(a_k b_k) summed one at a time, in
+    ascending or descending order of their magnitudes."""
+    cols = b.reshape(b.shape[0], -1)
+    terms = a[:, None, :] * cols.T[None, :, :]
+    order = np.argsort(np.abs(terms), axis=2, kind="stable")
+    terms = np.take_along_axis(terms, order[..., ::-1] if descending else order, axis=2)
+    # accumulate adds one term at a time, left to right (a reduce would pair them)
+    total = np.add.accumulate(terms, axis=2)[..., -1].reshape((a.shape[0],) + b.shape[1:])
+    if out is None:
+        return total
+    out[...] = total
+    return out
+
+
+# the Gram products a patched screen may use in place of the host's BLAS
+orders = st.sampled_from(["ascending", "descending"])
+
+
+def _patched(tile, n_clusters, sample=None, order=None):
     stack = ExitStack()
+    if order is not None:
+        gram = partial(_sequential_gram, descending=order == "descending")
+        stack.enter_context(mock.patch.object(geometry, "_gram", gram))
     if tile is not None:
         stack.enter_context(mock.patch.multiple(geometry, _TILE=tile, _EXACT_BATCH=2 * 256))
     if n_clusters is not None:
@@ -182,6 +207,44 @@ def test_low_dimension_prefix_with_boundary_exceptions(coords, kind, seed, tile,
 def test_low_dimension_leave_one_out_matches_oracle(coords, kind, seed, tile, n_clusters,
                                                     sample):
     _check_leave_one_out(coords, kind, seed, (tile, n_clusters, sample))
+
+
+def _check_either(coords, kind, seed, patch, loo):
+    if loo:
+        _check_leave_one_out(coords, kind, seed, patch)
+    else:
+        _check_prefix(coords, kind, seed, patch, exceptions=False)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, order=orders,
+       loo=st.booleans())
+def test_screen_matches_oracle_under_sequential_gram(coords, kind, seed, tile, n_clusters,
+                                                     order, loo):
+    _check_either(coords, kind, seed, (tile, n_clusters, None, order), loo)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=LOW_DIMS), kind=st.sampled_from(sorted(GAUGES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles, n_clusters=clusters, order=orders,
+       loo=st.booleans())
+def test_low_dimension_matches_oracle_under_sequential_gram(coords, kind, seed, tile,
+                                                           n_clusters, order, loo):
+    _check_either(coords, kind, seed, (tile, n_clusters, None, order), loo)
+
+
+def test_sequential_gram_is_a_gram_product():
+    # the patch sums the host product's terms in another order, nothing else
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((5, 7)), rng.standard_normal((7, 4))
+    for descending in (False, True):
+        assert np.allclose(_sequential_gram(a, b, descending=descending), a @ b)
+        assert np.allclose(_sequential_gram(a, b[:, 0], descending=descending), a @ b[:, 0])
+    # two half ulps of 1 add up to an ulp first, and each rounds away after 1
+    terms, ones = np.array([[2.0 ** -53, 1.0, 2.0 ** -53]]), np.ones((3, 1))
+    assert _sequential_gram(terms, ones)[0, 0] == 1.0 + 2.0 ** -52
+    assert _sequential_gram(terms, ones, descending=True)[0, 0] == 1.0
 
 
 def test_one_cluster_of_more_than_4096_candidates():
