@@ -11,8 +11,8 @@ count puts several clusters (or one per row) in front of the screen at the
 small sizes drawn here, at D in {1, 2, 8} as well as D >= 16.  A patched
 sample size makes the centre traversal visit a strided sample of the
 candidates, as it does by default only past 1024 of them.  A patched Gram
-product sums its terms in ascending or descending order of magnitude,
-orders that the host's BLAS never takes: the certificates hold for any.
+product sums its terms one at a time in ascending or descending order of
+magnitude instead of the host BLAS's order: the certificates hold for any.
 """
 
 from contextlib import ExitStack
