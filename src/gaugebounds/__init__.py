@@ -2,10 +2,11 @@
 
 The pieces, in dependency order: geometry (points, gauges, covers, the
 exact minimum kernels), estimators (prefix gap profiles and missing-mass
-estimates on the naive or indexed backend), bounds (closed-form reports,
-reset-chain descriptions and their mixing coefficients; pure math, no
-numpy), processes (seeded chain simulators and embeddings), verify (Monte
-Carlo validation), cli (the command-line surface).  nnindex only re-exports
+estimates on the fast kernels, the naive scan on request), bounds
+(closed-form reports, reset-chain descriptions and their mixing
+coefficients; pure math, no numpy), processes (seeded chain simulators and
+embeddings), verify (Monte Carlo validation), cli (the command-line
+surface).  nnindex only re-exports
 the backend names of estimators for the benchmark's tracer.
 
 Every public name below is served from its defining module on first

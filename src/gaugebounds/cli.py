@@ -315,7 +315,7 @@ def _cmd_study(args) -> int:
     p_list = [float(p) for p in args.p_list.split(",")] if args.p_list else None
     rows = verify.decay_study(
         proc, emb, gauge, tau=args.tau, sizes=sizes, p_list=p_list,
-        n_seeds=args.n_seeds, seed=args.seed, backend=args.backend,
+        n_seeds=args.n_seeds, seed=args.seed,
     )
     out = FsPath(args.out)
     with out.open("w", newline="") as fh:
@@ -364,7 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--tau", type=int, required=True)
     est.add_argument("--t", type=float, default=None, help="threshold for G_t and Good-Turing")
     est.add_argument("--exclude", default="", help="comma list of excluded 0-based positions")
-    est.add_argument("--backend", choices=("naive", "indexed"), default="naive")
+    est.add_argument("--backend", choices=("naive", "indexed"), default="indexed",
+                     help="naive runs the definitional scan: the same values, slower")
     est.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: estimate runs in one thread")
     est.add_argument("--out", default=None, help="report JSON (stdout when omitted)")
@@ -418,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stu.add_argument("--p-list", default=None, help="comma list of reset probabilities")
     stu.add_argument("--n-seeds", type=int, default=10)
     stu.add_argument("--seed", type=int, default=0)
-    stu.add_argument("--backend", choices=("naive", "indexed"), default="indexed")
+    stu.add_argument("--backend", choices=("naive", "indexed"), default="indexed",
+                     help="accepted and ignored: study runs the fast exact kernels")
     stu.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: study runs in one thread")
     stu.add_argument("--out", required=True, help="wide table CSV")

@@ -23,13 +23,13 @@ Each of these minima is stated once as the admissible-minimum problem
 tau + j with limit j + 1 and keeps the rows outside B; leave-one-out queries
 every row with limit n under skip_self; the ground truth appends the fresh
 draws to the path and queries them with limit n.  geometry.admissible_mins
-answers every problem: the prefix and leave-one-out ones on a backend's
-kind ("naive" when no backend is passed), the truth on the indexed kind.
-It restates each as row-prefix problems, which are all its kernels answer:
-an exception set moves the kept rows to the front of the path, and on the
-indexed kind each hinge label class is a problem on its own rows.  Both
-kinds give the same minima bit for bit; a passed backend receives the pair
-counts of its last run.
+answers every problem, on the fast kernels of the indexed kind unless
+prefix_min_profile (the oracle) or a PrefixNNBackend("naive") asks for the
+definitional scan; every kernel returns the oracle's floats.  It restates
+each problem as row-prefix problems, which are all its kernels answer: an
+exception set moves the kept rows to the front of the path, and on the
+indexed kind each hinge label class is a problem on its own rows.  A passed
+backend receives the pair counts of its last run.
 
 Summation order is fixed (ascending position, plain left-to-right), so
 results are bit-reproducible.  Apart from the counts a passed backend
@@ -168,21 +168,14 @@ def _prefix_problem(
 
 @dataclass
 class PrefixNNBackend:
-    """Backend kind, "naive" or "indexed", plus the telemetry of the last
+    """Backend kind, "indexed" (the fast kernels, the default) or "naive"
+    (the definitional scan, on request), plus the telemetry of the last
     run: pair evaluations of any kind, and the screened share of them.  Not
     thread-shareable while a computation is in flight."""
 
     kind: str
     distance_evaluations: int = 0
     screened_pairs: int = 0
-
-    @classmethod
-    def naive(cls) -> "PrefixNNBackend":
-        return cls(kind="naive")
-
-    @classmethod
-    def metric_indexed(cls) -> "PrefixNNBackend":
-        return cls(kind="indexed")
 
     def __post_init__(self):
         if self.kind not in ("naive", "indexed"):
@@ -198,10 +191,10 @@ def _mins(
     keep: np.ndarray | None,
     skip_self: bool = False,
 ) -> np.ndarray:
-    """Minima of one problem on the backend's kind, naive without one; a
-    passed backend receives the run's counts."""
+    """Minima of one problem on the backend's kind, on the fast kernels
+    without one; a passed backend receives the run's counts."""
     mins, evaluations, screened = admissible_mins(
-        gauge, path, "naive" if backend is None else backend.kind,
+        gauge, path, "indexed" if backend is None else backend.kind,
         queries, limits, keep, skip_self)
     if backend is not None:
         backend.distance_evaluations, backend.screened_pairs = evaluations, screened
@@ -232,7 +225,7 @@ def prefix_min_profile(
 ) -> PrefixGaugeProfile:
     """Exact admissible-prefix minima, straight from the definition: the
     oracle every backend must match."""
-    return _profile(path, gauge, tau, exceptions, None)
+    return _profile(path, gauge, tau, exceptions, PrefixNNBackend("naive"))
 
 
 def prefix_min_indexed(
@@ -242,7 +235,7 @@ def prefix_min_indexed(
     exceptions: ExceptionSet | None = None,
     backend: PrefixNNBackend | None = None,
 ) -> PrefixGaugeProfile:
-    """Prefix minima through the chosen backend; identical output either way."""
+    """Prefix minima on the fast kernels or the passed backend; identical either way."""
     return _profile(path, gauge, tau, exceptions, backend)
 
 
@@ -286,7 +279,7 @@ def leave_one_out_min(
     gauge: GaugeSpec,
     backend: PrefixNNBackend | None = None,
 ) -> np.ndarray:
-    """min over i != k of g(X_k, X_i) for every k, backend-agnostic values."""
+    """min over i != k of g(X_k, X_i) for every k, on the fast kernels or a passed backend."""
     return _loo_mins(path, gauge, backend)
 
 
@@ -355,8 +348,7 @@ def _min_gauge_to_path(gauge: GaugeSpec, path: SamplePath, fresh: SamplePath) ->
     check_gauge_path(gauge, path)
     # the fresh draws query the whole path, which comes first in the join
     n, m = len(path), len(fresh)
-    return admissible_mins(gauge, _joined(path, fresh), "indexed",
-                           n + np.arange(m), np.full(m, n))[0]
+    return _mins(_joined(path, fresh), gauge, None, n + np.arange(m), np.full(m, n), None)
 
 
 def true_missing_mass(

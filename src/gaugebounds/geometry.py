@@ -298,20 +298,17 @@ class GaugeSpec:
         return self.kind in ("hinge", "local_lipschitz")
 
     def sup_gauge(self, diameter: float) -> float:
-        """Largest gauge value over pairs at base distance <= diameter."""
-        if diameter < 0:
-            raise ValueError("diameter must be nonnegative")
+        """Largest gauge value over pairs at base distance <= diameter: the
+        kernels' own distance_transform at the diameter (at 1 under the
+        discrete metric), so it equals eval_gauge on a pair that far apart."""
+        if not diameter >= 0:   # NaN fails too
+            raise ValueError(f"diameter must be nonnegative, got {diameter}")
         if self.takes_infinite_values:
             return math.inf
-        if self.kind == "lipschitz":
-            return self.L * (1.0 if self.metric == "discrete" else diameter)
-        if self.kind == "smooth":
-            return (1.0 + self.lam) * (self.gamma / 2.0) * diameter ** 2
-        if self.kind == "local_smooth":
-            return 0.5 * (self.c * (1.0 + diameter ** 2)) ** 2 * diameter ** 2
         if self.kind == "regression":
             raise ValueError("regression sup depends on the target range, not only the diameter")
-        raise ValueError(f"unknown gauge kind {self.kind!r}")
+        d = 1.0 if self.metric == "discrete" else diameter
+        return float(distance_transform(self)(np.array([d], dtype=np.float64))[0])
 
 
 @dataclass(frozen=True)
@@ -1106,12 +1103,13 @@ def admissible_mins(
     Gram-screened share of them.  The one place that picks a kernel.
 
     A keep mask first becomes the row-prefix problem on the reordered path
-    (the block above _BAND_ROWS).  naive, and the regression gauge on either
-    kind, then take _naive_mins, which gates hinge pairs by label as the
-    definition does.  The indexed kind minimizes the base metric, on each
-    hinge label class separately, and applies the nondecreasing
-    distance_transform once, to the minimum.  Every kernel returns the
-    oracle's floats, so both kinds give the same minima bit for bit.
+    (the block above _BAND_ROWS).  naive, the definitional scan that runs
+    only on request, and regression, which no fast kernel serves, then take
+    _naive_mins, which gates hinge pairs by label as the definition does.
+    indexed, the default, minimizes the base metric, on each hinge label
+    class separately, and applies the nondecreasing distance_transform once,
+    to the minimum.  Every kernel returns the oracle's floats, so both kinds
+    give the same minima bit for bit.
     """
     if keep is not None:
         kept = np.flatnonzero(keep[: int(limits.max())])

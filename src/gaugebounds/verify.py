@@ -445,13 +445,12 @@ def decay_study(
     p_list=None,
     n_seeds: int = 10,
     seed: int = 0,
-    backend: str = "indexed",
 ) -> list[DecayRow]:
     """Mean and spread of the gap estimator G across sample sizes and reset
     probabilities, with the mixing-time reference column tau_mix / n.
 
     Per (p, seed) one maximal path is simulated and its prefix profile
-    computed once; G at a smaller size is the mean of the leading profile
+    computed once, on the fast kernels; G at a smaller size is the mean of the leading profile
     entries, which equals the estimator on the prefix path exactly (the
     profile is prefix-causal).  Sharing the path across sizes removes
     between-size simulation noise from the decay comparison.
@@ -480,14 +479,14 @@ def decay_study(
         ps = [float(p) for p in p_list or [proc.reset_p]]
         _check_distinct("p_list", ps)
         variants = [(p, proc.with_reset_p(p)) for p in ps]
-    PrefixNNBackend(backend)   # the one check of the backend name
     n_max = usable[-1]
     seeds = iter(_trial_seeds(seed, len(variants) * n_seeds))
 
     def one_run(spec: ProcessSpec) -> np.ndarray:
-        # the path dies with the call: a raster path outweighs its profile 256-fold
+        # the path dies with the call: a raster path outweighs its profile 256-fold;
+        # the backend only carries the pair counts, for a tracer to read
         path = embed(emb, simulate(spec, n_max))
-        return prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend(backend)).mins
+        return prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend("indexed")).mins
 
     rows = []
     for p, variant in variants:

@@ -135,20 +135,20 @@ def test_criterion_5_backend_equivalence_and_counts():
                 gauge = GaugeSpec.discrete()
                 path = SamplePath.from_symbols(rng.integers(0, 64, 512))
             tau = int(rng.integers(1, 4))
-            naive = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend.naive())
+            naive = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend("naive"))
             indexed = prefix_min_indexed(path, gauge, tau,
-                                         backend=PrefixNNBackend.metric_indexed())
+                                         backend=PrefixNNBackend("indexed"))
             assert np.array_equal(naive.mins, indexed.mins), f"profile mismatch at path {i}"
             if i % 5 == 0:
-                a = leave_one_out_min(path, gauge, PrefixNNBackend.naive())
-                b = leave_one_out_min(path, gauge, PrefixNNBackend.metric_indexed())
+                a = leave_one_out_min(path, gauge, PrefixNNBackend("naive"))
+                b = leave_one_out_min(path, gauge, PrefixNNBackend("indexed"))
                 assert np.array_equal(a, b), f"leave-one-out mismatch at path {i}"
                 loo_checked += 1
 
         # distance-evaluation telemetry on data with low-dimensional support
         proc = ProcessSpec.circle_rotation(p=0.01, seed=55)
         mpath = embed(EmbeddingSpec.fourier(8), simulate(proc, 512))
-        nb, ib = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
+        nb, ib = PrefixNNBackend("naive"), PrefixNNBackend("indexed")
         pn = prefix_min_indexed(mpath, GaugeSpec.lipschitz(1.0), 1, backend=nb)
         pi = prefix_min_indexed(mpath, GaugeSpec.lipschitz(1.0), 1, backend=ib)
         assert np.array_equal(pn.mins, pi.mins)
@@ -215,7 +215,7 @@ def test_criterion_7_iid_gap_magnitude():
         gs = []
         for s in range(20):
             p = simulate(proc.with_seed(1000 + s), 4096)
-            prof = prefix_min_indexed(p, gauge, 1, backend=PrefixNNBackend.metric_indexed())
+            prof = prefix_min_indexed(p, gauge, 1, backend=PrefixNNBackend("indexed"))
             gs.append(missing_mass_G(prof))
         mean_g = float(np.mean(gs))
     expected_scale = math.log(4096) / (2 * 4096)

@@ -143,7 +143,7 @@ def test_naive_prefix_matches_row_loop(coords, case, seed, tile, with_exceptions
         cand = keep[keep <= j]
         expected.append(_row_reference(gauge, path, tau + j, cand).min())
         count += cand.size
-    backend = PrefixNNBackend.naive()
+    backend = PrefixNNBackend("naive")
     with _tiled(tile):
         mins = prefix_min_profile(path, gauge, tau, exc).mins
         profile = prefix_min_indexed(path, gauge, tau, exc, backend)
@@ -163,7 +163,7 @@ def test_leave_one_out_matches_row_loop(coords, case, seed, tile):
     expected = [_row_reference(gauge, path, k, np.delete(np.arange(n), k)).min()
                 for k in range(n)]
     with _tiled(tile):
-        loo = leave_one_out_min(path, gauge)
+        loo = leave_one_out_min(path, gauge, PrefixNNBackend("naive"))
     assert np.array_equal(_bits(loo), _bits(expected))
 
 
@@ -217,7 +217,8 @@ def test_naive_scan_holds_one_block_at_a_time(case, scan):
     if scan == "prefix":
         run, block = (lambda: prefix_min_profile(path, gauge, 1)), (n - 1) ** 2 * 8
     else:
-        run, block = (lambda: leave_one_out_min(path, gauge)), n * n * 8
+        naive = PrefixNNBackend("naive")
+        run, block = (lambda: leave_one_out_min(path, gauge, naive)), n * n * 8
     run()
     tracemalloc.start()
     try:

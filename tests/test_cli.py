@@ -360,6 +360,37 @@ def test_indexed_regression_report_matches_naive(tmp_path):
     assert profiles["indexed"] == profiles["naive"]
 
 
+def test_estimate_defaults_to_the_indexed_backend(tmp_path):
+    pfile = tmp_path / "p.csv"
+    assert run(["simulate", "--process", "torus:p=0.1", "--n", "120", "--seed", "2",
+                "--out", str(pfile)]) == 0
+    reports = []
+    for extra in ([], ["--backend", "indexed"]):
+        rfile = tmp_path / "r.json"
+        assert run(["estimate", "--in", str(pfile), "--gauge", "lipschitz:L=1", "--tau", "2",
+                    "--t", "0.1", *extra, "--out", str(rfile)]) == 0
+        reports.append(strip_timestamp(rfile.read_text()))
+    assert reports[0] == reports[1]
+    assert load_json(rfile)["backend"] == "indexed"
+
+
+def test_study_backend_is_accepted_and_ignored(tmp_path, monkeypatch):
+    # both values run the fast kernels, so the tables are the same bytes
+    from gaugebounds import geometry
+
+    def no_scan(*_args):
+        raise AssertionError("study reached the naive scan")
+
+    monkeypatch.setattr(geometry, "_naive_mins", no_scan)
+    args = ["study", "--process", "circle:p=0.5", "--embedding", "fourier:D=4", "--tau", "1",
+            "--sizes", "16,64", "--p-list", "0.5,1", "--n-seeds", "2", "--seed", "3"]
+    for backend in ("naive", "indexed"):
+        assert run([*args, "--backend", backend, "--out", str(tmp_path / f"{backend}.csv")]) == 0
+    for name in ("{}.csv", "{}_long.csv"):
+        naive = (tmp_path / name.format("naive")).read_bytes()
+        assert naive == (tmp_path / name.format("indexed")).read_bytes()
+
+
 def test_profile_dump_bytes(tmp_path):
     # hinge pairs across labels are +inf, L = 1e-300 makes the 1e-20 gap subnormal
     pfile = tmp_path / "p.csv"

@@ -152,6 +152,23 @@ class TestGaugeProperties:
         assert GaugeSpec.hinge_classification(1.0).sup_gauge(1.0) == math.inf
         assert GaugeSpec.local_lipschitz_truncated(0.5).sup_gauge(1.0) == math.inf
 
+    @pytest.mark.parametrize("gauge", [GaugeSpec.lipschitz(0.3), GaugeSpec.smooth(1.3, 0.7),
+                                       GaugeSpec.local_smooth(0.9)])
+    def test_sup_gauge_is_the_gauge_at_the_diameter(self, gauge):
+        # one formula per gauge: the sup is eval_gauge of a pair that far apart
+        rng = np.random.default_rng(12)
+        for d in np.concatenate(([8.237813583927716, 0.0, 5e-324], rng.random(300) * 20,
+                                 np.exp(rng.uniform(-300, 300, 300)))):
+            pair = Point.dense([0.0]), Point.dense([d])
+            assert gauge.sup_gauge(float(d)) == eval_gauge(gauge, *pair)
+        # the quadratic gauges overflow to +inf, as the kernels do
+        for d in (1e200, 1e308, math.inf):
+            assert gauge.sup_gauge(d) == (0.3 * d if gauge.kind == "lipschitz" else math.inf)
+        with pytest.raises(ValueError, match="^diameter must be nonnegative, got nan$"):
+            gauge.sup_gauge(math.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gauge.sup_gauge(-1.0)
+
     def test_infinite_variants_flagged(self):
         assert GaugeSpec.hinge_classification(1.0).takes_infinite_values
         assert GaugeSpec.local_lipschitz_truncated(1.0).takes_infinite_values

@@ -143,7 +143,7 @@ def _check_prefix(coords, kind, seed, patch, exceptions):
         picks = {i for i in (1, n_eff - 1) if 0 < i < n_eff}
         picks |= {int(i) for i in rng.integers(1, max(2, n_eff), 3) if 0 < i < n_eff}
         exc = ExceptionSet(indices=tuple(sorted(picks)), n_eff=n_eff)
-    naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
+    naive, indexed = PrefixNNBackend("naive"), PrefixNNBackend("indexed")
     a = prefix_min_indexed(path, gauge, tau, exc, naive)
     with _patched(*patch):
         b = prefix_min_indexed(path, gauge, tau, exc, indexed)
@@ -154,7 +154,7 @@ def _check_prefix(coords, kind, seed, patch, exceptions):
 def _check_leave_one_out(coords, kind, seed, patch):
     rng = np.random.default_rng(seed)
     path, gauge = _path(coords, kind, rng), GAUGES[kind]
-    naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
+    naive, indexed = PrefixNNBackend("naive"), PrefixNNBackend("indexed")
     a = leave_one_out_min(path, gauge, naive)
     with _patched(*patch):
         b = leave_one_out_min(path, gauge, indexed)
@@ -252,10 +252,10 @@ def test_one_cluster_of_more_than_4096_candidates():
     rng = np.random.default_rng(9)
     path = SamplePath.from_coords(np.round(rng.standard_normal((4200, 3)) * 4.0) / 4.0)
     gauge = GaugeSpec.lipschitz(1.0)
-    prefix = prefix_min_indexed(path, gauge, 3, backend=PrefixNNBackend.naive()).mins
-    loo = leave_one_out_min(path, gauge, PrefixNNBackend.naive())
+    prefix = prefix_min_indexed(path, gauge, 3, backend=PrefixNNBackend("naive")).mins
+    loo = leave_one_out_min(path, gauge, PrefixNNBackend("naive"))
     with _patched(None, 1):
-        indexed = PrefixNNBackend.metric_indexed()
+        indexed = PrefixNNBackend("indexed")
         assert np.array_equal(_bits(prefix_min_indexed(path, gauge, 3, backend=indexed).mins),
                               _bits(prefix))
         assert np.array_equal(_bits(leave_one_out_min(path, gauge, indexed)), _bits(loo))
@@ -264,7 +264,7 @@ def test_one_cluster_of_more_than_4096_candidates():
 def test_screen_evaluates_about_one_pair_per_row_on_spread_data():
     rng = np.random.default_rng(5)
     path = SamplePath.from_coords(rng.random((600, 64)))
-    backend = PrefixNNBackend.metric_indexed()
+    backend = PrefixNNBackend("indexed")
     prefix_min_indexed(path, GaugeSpec.lipschitz(1.0), 1, backend=backend)
     # exact evaluations beyond the build's one cluster radius per candidate
     exact = backend.distance_evaluations - backend.screened_pairs - 599
@@ -274,7 +274,7 @@ def test_screen_evaluates_about_one_pair_per_row_on_spread_data():
 
 def _screened_and_naive(path):
     gauge = GaugeSpec.lipschitz(1.0)
-    naive, indexed = PrefixNNBackend.naive(), PrefixNNBackend.metric_indexed()
+    naive, indexed = PrefixNNBackend("naive"), PrefixNNBackend("indexed")
     a = prefix_min_indexed(path, gauge, 1, backend=naive)
     b = prefix_min_indexed(path, gauge, 1, backend=indexed)
     assert np.array_equal(_bits(a.mins), _bits(b.mins))
@@ -304,7 +304,7 @@ def test_repeated_runs_give_identical_minima_and_counts():
     gauge = GaugeSpec.lipschitz(1.0)
     runs = []
     for _ in range(2):
-        backend = PrefixNNBackend.metric_indexed()
+        backend = PrefixNNBackend("indexed")
         mins = prefix_min_indexed(path, gauge, 2, backend=backend).mins
         counts = (backend.distance_evaluations, backend.screened_pairs)
         loo = leave_one_out_min(path, gauge, backend)
@@ -328,11 +328,11 @@ def _two_cluster_path(seed, dim, scale, separation, grid):
 def _assert_backends_agree(path):
     gauge = GaugeSpec.lipschitz(1.0)
     for tau in (1, 3):
-        a = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend.naive())
-        b = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend.metric_indexed())
+        a = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend("naive"))
+        b = prefix_min_indexed(path, gauge, tau, backend=PrefixNNBackend("indexed"))
         assert np.array_equal(_bits(a.mins), _bits(b.mins))
-    a = leave_one_out_min(path, gauge, PrefixNNBackend.naive())
-    b = leave_one_out_min(path, gauge, PrefixNNBackend.metric_indexed())
+    a = leave_one_out_min(path, gauge, PrefixNNBackend("naive"))
+    b = leave_one_out_min(path, gauge, PrefixNNBackend("indexed"))
     assert np.array_equal(_bits(a), _bits(b))
 
 

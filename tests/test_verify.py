@@ -17,7 +17,9 @@ from gaugebounds import (
     validate_good_turing,
     validate_martingale_tail,
 )
-from gaugebounds.verify import _binomial_tail, binomial_pass
+from gaugebounds.estimators import _ordered_mean, prefix_min_profile
+from gaugebounds.processes import EmbeddingSpec, embed, simulate
+from gaugebounds.verify import _binomial_tail, _trial_seeds, binomial_pass
 
 
 def exact_tail(v: int, n: int, p: float) -> Fraction:
@@ -289,13 +291,23 @@ class TestDecayStudy:
         assert by_p[1.0].tau_mix == 1
 
     def test_backends_agree(self):
-        proc = ProcessSpec.circle_rotation(p=0.3)
-        common = dict(emb=None, gauge=GaugeSpec.lipschitz(1.0), tau=2,
-                      sizes=[24, 48], p_list=[0.3], n_seeds=2, seed=9)
-        a = decay_study(proc, backend="naive", **common)
-        b = decay_study(proc, backend="indexed", **common)
-        assert [(r.p, r.n, r.mean_g, r.std_g) for r in a] == \
-               [(r.p, r.n, r.mean_g, r.std_g) for r in b]
+        # the study's fast kernels against the oracle's profiles of the same
+        # paths, at D = 1 (order kernel) and D = 4 (certified screen)
+        proc, gauge, tau = ProcessSpec.circle_rotation(p=0.3), GaugeSpec.lipschitz(1.0), 2
+        sizes, ps, n_seeds = [24, 48], [0.3, 1.0], 2
+        for emb in (EmbeddingSpec.identity(), EmbeddingSpec.fourier(4)):
+            rows = decay_study(proc, emb, gauge, tau, sizes=sizes, p_list=ps,
+                               n_seeds=n_seeds, seed=9)
+            seeds = iter(_trial_seeds(9, len(ps) * n_seeds))
+            expected = []
+            for p in ps:
+                profiles = [prefix_min_profile(embed(emb, simulate(
+                    proc.with_reset_p(p).with_seed(int(next(seeds))), 48)), gauge, tau).mins
+                    for _ in range(n_seeds)]
+                for n in sizes:
+                    g = np.asarray([_ordered_mean(m[: n - tau]) for m in profiles])
+                    expected.append((p, n, float(g.mean()), float(g.std(ddof=1))))
+            assert [(r.p, r.n, r.mean_g, r.std_g) for r in rows] == expected
 
     def test_iid_with_p_list_rejected(self):
         with pytest.raises(ValueError, match="p_list"):
