@@ -6,8 +6,8 @@ estimates on the fast kernels, the naive scan on request), bounds
 (closed-form reports, reset-chain descriptions and their mixing
 coefficients; pure math, no numpy), processes (seeded chain simulators and
 embeddings), verify (Monte Carlo validation), cli (the command-line
-surface).  nnindex only re-exports
-the backend names of estimators for the benchmark's tracer.
+surface).  nnindex only re-exports the backend names of estimators for the
+benchmark's tracer.
 
 Every public name below is served from its defining module on first
 access (PEP 562), so importing the package loads no submodule and no numpy;
