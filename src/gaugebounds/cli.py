@@ -3,8 +3,9 @@
 All randomness flows from a single --seed; subcommands expand it into
 sub-stream seeds through numpy SeedSequence spawning, so a run is
 reproducible from one integer.  Reports are JSON with a fixed field order
-(plus a trailing generated_at timestamp); tables are CSV.  Any module error
-exits nonzero after printing machine-readable error JSON to stderr.
+(plus a trailing generated_at timestamp); tables are CSV.  Every failure
+prints one line of machine-readable error JSON to stderr and exits nonzero:
+2 for a malformed command line, 1 for any other failure.
 """
 
 from __future__ import annotations
@@ -343,8 +344,16 @@ def _cmd_study(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise, to leave through main's
+    JSON error like every other failure; subcommand parsers share the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaugebounds",
         description="Gap estimators and generalization bound reports for stationary processes.",
     )
@@ -430,14 +439,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except Exception as err:  # every failure leaves as the JSON error, exit 1
+    except Exception as err:  # every failure leaves as the JSON error
         message = {"error": {"type": type(err).__name__, "message": str(err)}}
         sys.stderr.write(json.dumps(message) + "\n")
-        return 1
+        return 2 if isinstance(err, argparse.ArgumentError) else 1
 
 
 if __name__ == "__main__":

@@ -300,15 +300,19 @@ class GaugeSpec:
     def sup_gauge(self, diameter: float) -> float:
         """Largest gauge value over pairs at base distance <= diameter: the
         kernels' own distance_transform at the diameter (at 1 under the
-        discrete metric), so it equals eval_gauge on a pair that far apart."""
+        discrete metric), so it equals eval_gauge on a pair that far apart.
+        Like a kernel distance, it is +inf where the diameter squared overflows."""
         if not diameter >= 0:   # NaN fails too
             raise ValueError(f"diameter must be nonnegative, got {diameter}")
         if self.takes_infinite_values:
             return math.inf
         if self.kind == "regression":
             raise ValueError("regression sup depends on the target range, not only the diameter")
-        d = 1.0 if self.metric == "discrete" else diameter
-        return float(distance_transform(self)(np.array([d], dtype=np.float64))[0])
+        if self.metric == "discrete":
+            diameter = 1.0
+        elif math.isinf(float(diameter) * float(diameter)):
+            return math.inf
+        return float(distance_transform(self)(np.array([diameter], dtype=np.float64))[0])
 
 
 @dataclass(frozen=True)
@@ -956,12 +960,6 @@ def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray
         return vals
 
 
-def gauge_row(gauge: GaugeSpec, path: SamplePath, query: int, cand) -> np.ndarray:
-    """Gauge values g(X[query], X[i]) for i in cand: gauge_block's one-query
-    case."""
-    return gauge_block(gauge, path, np.array([query], dtype=np.intp), cand)[0]
-
-
 # ---------------------------------------------------------------------------
 # admissible minima
 #
@@ -1133,7 +1131,7 @@ def admissible_mins(
                 dmins[mine], count, share = _metric_mins(path._take(rows), discrete, at, upto,
                                                          skip_self)
                 evaluations, screened = evaluations + count, screened + share
-    return np.asarray(distance_transform(gauge)(dmins), dtype=np.float64), evaluations, screened
+    return distance_transform(gauge)(dmins), evaluations, screened
 
 
 def eval_gauge(gauge: GaugeSpec, y: Point, x: Point) -> float:
@@ -1143,7 +1141,7 @@ def eval_gauge(gauge: GaugeSpec, y: Point, x: Point) -> float:
     if y.kind != "symbol" and y.dim != x.dim:
         raise ValueError(f"dimension mismatch: {y.dim} vs {x.dim}")
     path = SamplePath.from_points([x, y])
-    return float(gauge_row(gauge, path, 1, np.array([0]))[0])
+    return float(gauge_block(gauge, path, [1], [0])[0, 0])
 
 
 def eval_phi(gauge: GaugeSpec, fs: FunctionSample, i: int) -> float:
@@ -1189,8 +1187,12 @@ def pairwise_gauge(gauge: GaugeSpec, path: SamplePath) -> np.ndarray:
 
 
 def gauge_diameter(gauge: GaugeSpec, path: SamplePath) -> float:
-    """Largest pairwise gauge value over the path."""
-    return float(pairwise_gauge(gauge, path).max())
+    """Largest pairwise gauge value over the path: the max of pairwise_gauge,
+    taken over row blocks of at most _TILE values, so no n x n array is held."""
+    n = len(path)
+    rows = max(1, _TILE // n)
+    return max(float(gauge_block(gauge, path, slice(r0, r0 + rows), slice(0, n)).max())
+               for r0 in range(0, n, rows))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ law exactly stationary, the dependence coefficients obey
 
     phi(tau) <= (1 - p)^tau        (and likewise alpha(tau)),
 
-which mixing_bounds reports as a chain-derived profile.  ProcessSpec, the
-default increments and the mixing functions need no numpy; they live in
-bounds, which evaluates a bound without loading numpy, and are re-exported
-here.
+which bounds.mixing_bounds reports as a chain-derived profile.  ProcessSpec,
+the default increments and the mixing functions need no numpy, so they live
+in bounds, which evaluates a bound without loading numpy; the package serves
+them from there.
 
 Randomness.  All draws come from numpy's Philox counter-based generator.
 A simulator derives three sub-streams from its seed by SeedSequence spawning
@@ -40,20 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._template import TEMPLATE_16
-from .bounds import ZETA_GOLDEN, ZETA_SILVER, ProcessSpec, mixing_bounds, mixing_time
+from .bounds import ProcessSpec
 from .estimators import FiniteSupport, SamplerOracle
 from .geometry import SamplePath
 
 __all__ = [
-    "ProcessSpec",
     "EmbeddingSpec",
-    "ZETA_GOLDEN",
-    "ZETA_SILVER",
     "simulate",
     "simulate_with_details",
     "embed",
-    "mixing_bounds",
-    "mixing_time",
     "stationary_oracle",
     "phase_distance",
     "fourier_lipschitz_bracket",

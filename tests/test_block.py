@@ -21,7 +21,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaugebounds import ExceptionSet, GaugeSpec, PrefixNNBackend, SamplePath, prefix_min_indexed
+from gaugebounds import (
+    ExceptionSet,
+    GaugeSpec,
+    PrefixNNBackend,
+    SamplePath,
+    gauge_diameter,
+    pairwise_gauge,
+    prefix_min_indexed,
+)
 from gaugebounds import geometry
 from gaugebounds.estimators import (
     _min_gauge_to_path,
@@ -32,7 +40,6 @@ from gaugebounds.geometry import (
     _euclid_row,
     distance_transform,
     gauge_block,
-    gauge_row,
 )
 from test_screen import adversarial_coords
 
@@ -113,7 +120,7 @@ def test_block_matches_row_loop(coords, case, seed, tile):
     expected = np.array([_row_reference(gauge, path, q, cand_idx) for q in queries])
     with _tiled(tile):
         block = gauge_block(gauge, path, queries, cand)
-        rows = [gauge_row(gauge, path, q, cand) for q in queries]
+        rows = [gauge_block(gauge, path, [q], cand)[0] for q in queries]
     assert block.shape == (queries.size, cand_idx.size)
     assert np.array_equal(_bits(block), _bits(expected.reshape(block.shape)))
     for q, row in zip(queries, rows):
@@ -228,6 +235,36 @@ def test_naive_scan_holds_one_block_at_a_time(case, scan):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=DIMS), case=st.sampled_from(sorted(CASES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles)
+def test_gauge_diameter_is_the_max_of_the_matrix(coords, case, seed, tile):
+    # hinge, local_lipschitz and overflowing coordinates reach +inf
+    gauge, variant = CASES[case]
+    path = _path(coords, variant, np.random.default_rng(seed))
+    with _tiled(tile):
+        got = gauge_diameter(gauge, path)
+    assert _bits(got) == _bits(pairwise_gauge(gauge, path).max())
+
+
+def test_gauge_diameter_holds_row_blocks_not_the_matrix():
+    # the matrix alone is 8 n^2 = 33.6 MB; a row block and the D >= 2 tile
+    # buffer are _TILE values (2 MB) each
+    n = 2048
+    path = SamplePath.from_coords(np.random.default_rng(4).random((n, 8)))
+    gauge = GaugeSpec.lipschitz(1.0)
+    gauge_diameter(gauge, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = gauge_diameter(gauge, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+    assert got == pairwise_gauge(gauge, path).max()
 
 
 # ---------------------------------------------------------------------------

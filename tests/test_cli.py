@@ -323,6 +323,35 @@ class TestRejectedInputs:
         assert err == {"type": "ZeroDivisionError", "message": "division by zero"}
 
 
+class TestMalformedCommandLine:
+    """A command line argparse rejects leaves as the same JSON error as every
+    other failure, with exit status 2."""
+
+    ESTIMATE = ["estimate", "--in", "x.csv", "--gauge", "lipschitz:L=1", "--tau", "1"]
+
+    @pytest.mark.parametrize("args, message", [
+        (ESTIMATE[:-1] + ["abc"], "argument --tau: invalid int value: 'abc'"),
+        (ESTIMATE + ["--backend", "fast"], "argument --backend: invalid choice: 'fast'"),
+        (ESTIMATE + ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (ESTIMATE[:1] + ESTIMATE[3:], "the following arguments are required: --in"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-int", "bad-choice", "unknown-flag", "missing-flag", "missing-subcommand"])
+    def test_exits_2_with_one_json_line(self, capsys, args, message):
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ArgumentError" and error["message"].startswith(message)
+
+    @pytest.mark.parametrize("args", [["--help"], ["estimate", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_:
+            run(args)
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: gaugebounds") and err == ""
+
+
 def test_indexed_good_turing_matches_naive(tmp_path):
     pfile = tmp_path / "p.csv"
     assert run(["simulate", "--process", "torus:p=0.1", "--embedding", "raster:scaling=true",

@@ -16,6 +16,7 @@ from gaugebounds import (
     greedy_cover,
     pairwise_gauge,
 )
+from gaugebounds.geometry import distance_transform
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -161,13 +162,44 @@ class TestGaugeProperties:
                                  np.exp(rng.uniform(-300, 300, 300)))):
             pair = Point.dense([0.0]), Point.dense([d])
             assert gauge.sup_gauge(float(d)) == eval_gauge(gauge, *pair)
-        # the quadratic gauges overflow to +inf, as the kernels do
-        for d in (1e200, 1e308, math.inf):
-            assert gauge.sup_gauge(d) == (0.3 * d if gauge.kind == "lipschitz" else math.inf)
+        # the kernels square the distance, so past the largest float whose
+        # square is finite every gauge is +inf; Lipschitz is finite up to it
+        edge = 1.3407807929942596e154
+        for d in (edge, math.nextafter(edge, math.inf), 1e200, 1e300, 1e308):
+            pair = Point.dense([0.0]), Point.dense([d])
+            assert gauge.sup_gauge(d) == eval_gauge(gauge, *pair)
+            assert gauge.sup_gauge(d) == (0.3 * d if d <= edge and gauge.kind == "lipschitz"
+                                          else math.inf)
+        assert gauge.sup_gauge(math.inf) == math.inf
+        # below it, the gauge of the diameter itself, also where its square is
+        # subnormal and the kernels' distance of a pair that far apart is not d
+        for d in (1e-160, 3.3e-170, 5e-324):
+            assert gauge.sup_gauge(d) == float(distance_transform(gauge)(np.array([d]))[0])
         with pytest.raises(ValueError, match="^diameter must be nonnegative, got nan$"):
             gauge.sup_gauge(math.nan)
         with pytest.raises(ValueError, match="nonnegative"):
             gauge.sup_gauge(-1.0)
+
+    @given(gauge=st.sampled_from([GaugeSpec.lipschitz(0.3), GaugeSpec.lipschitz(7.0),
+                                  GaugeSpec.smooth(1.3, 0.7), GaugeSpec.local_smooth(0.9),
+                                  GaugeSpec.local_lipschitz_truncated(0.5),
+                                  GaugeSpec.hinge_classification(2.0)]),
+           dim=st.integers(1, 4), n=st.integers(2, 12),
+           exponent=st.one_of(st.integers(-160, -155), st.integers(-160, 150)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sup_gauge_of_the_diameter_bounds_every_pair(self, gauge, dim, n, exponent, seed):
+        # every Euclidean-base gauge with a sup by diameter (regression has
+        # none), at scales from 1e-160 to 1e150; about half the draws come
+        # from 1e-160 to 1e-155, where the kernels' squares are subnormal
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((n, dim)) * 10.0 ** exponent
+        diameter = gauge_diameter(GaugeSpec.lipschitz(1.0), SamplePath.from_coords(coords))
+        if gauge.kind == "hinge":
+            path = SamplePath.from_labeled(coords, rng.choice([-1, 1], n))
+        else:
+            path = SamplePath.from_coords(coords)
+        assert (pairwise_gauge(gauge, path) <= gauge.sup_gauge(diameter)).all()
 
     def test_infinite_variants_flagged(self):
         assert GaugeSpec.hinge_classification(1.0).takes_infinite_values

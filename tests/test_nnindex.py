@@ -6,6 +6,7 @@ from gaugebounds import (
     FiniteSupport,
     GaugeSpec,
     PrefixNNBackend,
+    ProcessSpec,
     SamplerOracle,
     SamplePath,
     decay_study,
@@ -16,7 +17,7 @@ from gaugebounds import (
     true_missing_mass,
 )
 from gaugebounds import geometry
-from gaugebounds.processes import EmbeddingSpec, ProcessSpec, embed, simulate
+from gaugebounds.processes import EmbeddingSpec, embed, simulate
 
 
 def random_case(rng, gauge_kind, n=96):

@@ -28,12 +28,13 @@ from gaugebounds import (
     ExceptionSet,
     GaugeSpec,
     PrefixNNBackend,
+    ProcessSpec,
     SamplePath,
     leave_one_out_min,
     prefix_min_indexed,
 )
 from gaugebounds import geometry
-from gaugebounds.processes import EmbeddingSpec, ProcessSpec, embed, simulate
+from gaugebounds.processes import EmbeddingSpec, embed, simulate
 
 # the example count comes from the loaded profile (conftest.py)
 SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
