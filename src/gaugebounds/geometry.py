@@ -492,21 +492,33 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 #
 # For c candidates, about sqrt(c) farthest-point centres are picked from an
 # evenly strided sample of at most _SAMPLE of them.  Every row joins its
-# nearest centre, and the candidates are stored in one scaled array ordered
-# by (cluster, position), so the members a query admits are a prefix of
-# each cluster's slice.  Pass 1 screens every query against its own
-# cluster, which gives a tight upper bound; pass 2 visits each other cluster
-# once, with the queries step (6) cannot prune for it, and evaluates only
-# after all of them, at each row's best screened pair and at the pairs the
-# final bound cannot prune.  With one centre this is the plain screen.
+# nearest centre, and the candidates are ordered by (cluster, position), so
+# the members a query admits are a prefix of each cluster's slice.  Pass 1
+# screens every query against its own cluster, which gives a tight upper
+# bound; one query-major pass then lists, for each other cluster, the
+# queries step (6) cannot prune for it; pass 2 visits each such cluster
+# once, with those queries, and evaluates only after all of them, at each
+# row's best screened pair and at the pairs the final bound cannot prune.
+# With one centre this is the plain screen.
+#
+# No scaled copy of the path is stored: step (2) scales rows where a product
+# needs them (the front end's row blocks, the sample, a cluster's members
+# once per visit, each tile's queries), and a scaled value depends on its
+# row alone, so each Gram input is the one a stored copy would hold.  The
+# BLAS result of a pair may depend on the shape of its product (OpenBLAS
+# 0.3.31 gives a row other last bits in blocks of other heights), so the
+# query-major pass recomputes S_hat in the front end's own row blocks, and
+# every count is what a stored copy gave.  The call holds O(n) values
+# besides a few tiles, one cluster's scaled members and the (query,
+# cluster) pairs that pass 2 screens.
 #
 # Derivation.  u = 2^-53, eta = 2^-1074 (an underflowing product or scaling
 # errs by at most eta/2; additions never do), gamma_k = k u / (1 - k u)
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Pairs
 # are q, x in R^D, S = ||x - q||^2 in real arithmetic, and
 # K = fl(sqrt(sum_k fl(fl(x_k - q_k)^2))) is the kernel value.  Steps (2)
-# to (6) stand beside the one function that computes each: _centre_and_shift
-# and _scale, _s_hat, _lower_bound, _prune_threshold and _reach.
+# to (7) stand beside the one function that computes each: _centre_and_shift
+# and _scale, _s_hat, _lower_bound, _prune_threshold, _reach and _sqrt_cap.
 #
 #  (1) Kernel.  fl(x_k - q_k) = (x_k - q_k)(1 + d), |d| <= u; a square
 #      loses a factor (1 - u) and at most eta/2; a sum of D nonnegative
@@ -550,7 +562,8 @@ def _centre_and_shift(coords: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _scale(x: np.ndarray, mid: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     np.subtract(x, mid, out=out)
-    return np.ldexp(out, s, out=out)
+    # a product with the float 2^s rounds as ldexp does, and is faster
+    return np.multiply(out, 2.0 ** s, out=out) if s <= 1023 else np.ldexp(out, s, out=out)
 
 
 #  (3) Gram form.  Norms n = fl(z.z) and the BLAS products
@@ -633,6 +646,19 @@ def _reach(uu: np.ndarray, rr, s: int, dim: int) -> np.ndarray:
     return (uu + rr) * (1.0 + _gamma(dim + 16)) + a_abs
 
 
+#  (7) Query-wide filter.  Rounding is monotone, so for a query q, taking
+#      the largest centre norm in r_c and the largest radius in (6) gives
+#      L_lo <= L and R_hi >= the right side of (6) for every centre; a
+#      centre with fl(sqrt(max(L_lo, 0))) > R_hi is pruned by (6) itself.
+#      The square root need not be taken: fl(sqrt(y)) <= R implies
+#      sqrt(y) (1-u) <= R (sqrt never underflows), so y <= R^2 / (1-u)^2 <=
+#      fl(fl(R R) (1 + 8u)) = Y, as (1-u)^4 (1 + 8u) >= 1 and fl(R R) does
+#      not underflow (R >= 2^-249 by A); so L_lo > Y prunes.  An overflowing
+#      R R makes Y +inf, which prunes nothing.  _sqrt_cap takes R_hi.
+def _sqrt_cap(r: np.ndarray) -> np.ndarray:
+    return (r * r) * (1.0 + 8 * _U)
+
+
 def _n_clusters(n: int) -> int:
     """Farthest-point centres for n candidate rows: about sqrt(n)."""
     return max(1, math.isqrt(n))
@@ -665,30 +691,66 @@ def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int) -> tuple[n
     return np.asarray(centres, dtype=np.intp), steps * z.shape[0]
 
 
-def _centre_bounds(z: np.ndarray, norms: np.ndarray,
-                   centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centre by S_hat (ties to the earlier one) and the
-    (centres, rows) array of step (6)'s left side fl(sqrt(max(L, 0)))."""
-    (n, dim), k = z.shape, centres.size
-    lam = np.empty((k, n))
-    nearest = np.empty(n, dtype=np.intp)
-    zc2, n_c = -2.0 * z[centres].T, norms[centres]
+def _centres(coords: np.ndarray, mid: np.ndarray, s: int, n_cand: int):
+    """Farthest-point centres from an evenly strided sample of the first
+    n_cand rows: their path rows, -2 z_c^T, their norms and the pairs the
+    traversal valued."""
+    stride = -(-n_cand // _SAMPLE)
+    sample = coords[:n_cand:stride]
+    zs = _scale(sample, mid, s, np.empty(sample.shape))
+    ns = np.einsum("ij,ij->i", zs, zs)
+    at, pairs = _farthest_point_centres(zs, ns, min(_n_clusters(n_cand), len(zs)))
+    return at * stride, -2.0 * zs[at].T, ns[at], pairs
+
+
+def _centre_bounds(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
+    """Step (6)'s left side fl(sqrt(max(L, 0))) of (row, centre) pairs from
+    their S_hat and norms, in place."""
+    _lower_bound(s_hat, na, nb, dim)
+    np.maximum(s_hat, 0.0, out=s_hat)
+    return np.sqrt(s_hat, out=s_hat)
+
+
+def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
+                 n_c: np.ndarray, norms: np.ndarray, first: int = 0, new_norms: bool = False):
+    """(rows, S_hat) of the path rows against the centres (zc2 = -2 z_c^T,
+    norms n_c), group by group from the one that holds row first: each
+    product is one front-end block of rows, scaled into one reused buffer,
+    and a group is two blocks (about _TILE / 8 values).  With new_norms
+    each block first writes its rows' norms into norms."""
+    (n, dim), k = coords.shape, n_c.size
     step = max(1, (_TILE >> 4) // k)
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        blk = _s_hat(z[rows], zc2, norms[rows, None], n_c)
-        nearest[rows] = blk.argmin(axis=1)
-        _lower_bound(blk, norms[rows, None], n_c, dim)
-        np.maximum(blk, 0.0, out=blk)
-        lam[:, rows] = np.sqrt(blk, out=blk).T
-    return nearest, lam
+    span = 2 * step
+    zb, sh = np.empty(min(n, step) * dim), np.empty(min(n, span) * k)
+    for g0 in range(first - first % span, n, span):
+        g1 = min(n, g0 + span)
+        out = sh[: (g1 - g0) * k].reshape(-1, k)
+        for r0 in range(g0, g1, step):
+            rows = slice(r0, min(g1, r0 + step))
+            z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
+            if new_norms:
+                np.einsum("ij,ij->i", z, z, out=norms[rows])
+            _s_hat(z, zc2, norms[rows, None], n_c, out[r0 - g0: rows.stop - g0])
+        yield slice(g0, g1), out
 
 
-# One screen call: the path rows coords, the queries (path rows) with their
-# limits, and the candidates in cluster order: path rows perm with their
-# scaled rows z and norms, cluster b at bounds[b]:bounds[b + 1], and each
-# query's place qpos in that order.
-_Screen = namedtuple("_Screen", "coords queries limits skip_self s perm z norms bounds qpos")
+# One screen call: the path rows coords with step (2)'s mid and s, the
+# queries (path rows) with their limits, and the candidates in cluster
+# order: path rows perm with their norms, cluster b at bounds[b]:bounds[b + 1],
+# and each query's place qpos in that order.
+_Screen = namedtuple("_Screen", "coords mid s queries limits skip_self perm norms bounds qpos")
+
+
+def _scaled(scr: _Screen, rows: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """Step (2) of the path rows rows times factor (1 or -2), as a new array."""
+    z = scr.coords[rows]
+    if factor != 1.0 and 0 <= scr.s < 1023:
+        # scaling up never rounds, so one product gives -2 z
+        np.subtract(z, scr.mid, out=z)
+        return np.multiply(z, factor * 2.0 ** scr.s, out=z)
+    z = _scale(z, scr.mid, scr.s, z)
+    z *= factor
+    return z
 
 
 def _kernel(coords: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -710,18 +772,28 @@ def _cluster_tiles(scr: _Screen, b: int, rows: np.ndarray, buf: np.ndarray):
     """(query numbers, L, path rows of the columns) per tile of the queries
     rows against the members of cluster b that each admits, a prefix of the
     cluster's slice; L is step (4)'s, with the largest r_x for every x."""
-    c0 = int(scr.bounds[b])
-    cnt = np.searchsorted(scr.perm[c0: scr.bounds[b + 1]], scr.limits[rows])
+    c0, c1 = int(scr.bounds[b]), int(scr.bounds[b + 1])
+    cnt = np.searchsorted(scr.perm[c0:c1], scr.limits[rows])
     rows, cnt = rows[cnt > 0], cnt[cnt > 0]
-    per = max(1, (_TILE >> 4) // int(cnt.max(initial=1)))
+    if not rows.size:
+        return
+    # the members some query admits, and those that are queries here (pass 1
+    # queries are mostly members), scaled once for every tile
+    at = scr.qpos[rows] - c0
+    inside = (at >= 0) & (at < c1 - c0)
+    zx = _scaled(scr, scr.perm[c0: c0 + max(int(cnt.max()), int(at[inside].max(initial=-1)) + 1)])
+    per = max(1, (_TILE >> 4) // int(cnt.max()))
     for b0 in range(0, rows.size, per):
-        br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
-        qp, w = scr.qpos[br], int(bc.max())
-        zq2, end = scr.z[qp], c0 + w
-        zq2 *= -2.0
-        lt = _s_hat(zq2, scr.z[c0:end].T, scr.norms[qp, None], scr.norms[c0:end],
+        br, bc, ins = rows[b0: b0 + per], cnt[b0: b0 + per], inside[b0: b0 + per]
+        qp, w, end = scr.qpos[br], int(bc.max()), c0 + int(bc.max())
+        if ins.all():
+            zq2 = zx[qp - c0]
+            zq2 *= -2.0
+        else:
+            zq2 = _scaled(scr, scr.queries[br], -2.0)
+        lt = _s_hat(zq2, zx[:w].T, scr.norms[qp, None], scr.norms[c0:end],
                     buf[: br.size * w].reshape(br.size, w))
-        _lower_bound(lt, scr.norms[qp, None], scr.norms[c0:end].max(), scr.z.shape[1])
+        _lower_bound(lt, scr.norms[qp, None], scr.norms[c0:end].max(), zx.shape[1])
         # inadmissible pairs get +inf, which the clamped T always prunes
         if w > bc.min():
             lt[np.arange(w)[None, :] >= bc[:, None]] = np.inf
@@ -736,7 +808,7 @@ def _screen_own(scr: _Screen, b: int, rows: np.ndarray, mins: np.ndarray,
     """Pass 1 over cluster b for the queries rows; lowers mins and returns
     the screened and the evaluated pair counts."""
     screened = exact = 0
-    dim = scr.z.shape[1]
+    dim = scr.coords.shape[1]
     for br, lt, cand in _cluster_tiles(scr, b, rows, buf):
         screened += lt.size
         # upper bound: the exact kernel at the row's best pair, where that pair
@@ -764,6 +836,38 @@ def _screen_kept(scr: _Screen, b: int, rows: np.ndarray, thr: np.ndarray,
     return screened, kept
 
 
+def _live_pairs(scr: _Screen, norms: np.ndarray, zc2: np.ndarray, n_c: np.ndarray,
+                own: np.ndarray, reach_q: np.ndarray, reach_c: np.ndarray):
+    """The (query, cluster) pairs that step (6) cannot prune, own clusters and
+    empty ones left out: query numbers grouped by cluster in query order,
+    and each cluster's start in them.  S_hat comes from the front end's
+    products (norms in path order); step (7) sorts out most pairs, and the
+    rest take step (6) itself."""
+    k, dim, s = n_c.size, scr.coords.shape[1], scr.s
+    filled = scr.bounds[:-1] < scr.bounds[1:]
+    by_row = np.argsort(scr.queries, kind="stable")
+    rows_of = scr.queries[by_row]
+    n_q = norms[scr.queries]
+    rr_top = -_lower_bound(np.zeros(n_q.size), n_q, n_c.max(), dim)
+    y_top = _sqrt_cap(_reach(reach_q, reach_c[filled].max(), s, dim))
+    qs, bs = [], []
+    for rows, sh in _front_s_hat(scr.coords, scr.mid, s, zc2, n_c, norms, int(rows_of[0])):
+        lo, hi = np.searchsorted(rows_of, (rows.start, rows.stop))
+        q, at = by_row[lo:hi], rows_of[lo:hi] - rows.start
+        if at.size < len(sh) or (at != np.arange(at.size)).any():
+            sh = sh[at]
+        i, b = np.nonzero(sh - rr_top[q, None] <= y_top[q, None])
+        keep = filled[b] & (b != own[q[i]])
+        i, b = i[keep], b[keep]
+        lam = _centre_bounds(sh[i, b], n_q[q[i]], n_c[b], dim)
+        live = lam <= _reach(reach_q[q[i]], reach_c[b], s, dim)
+        qs.append(q[i[live]])
+        bs.append(b[live])
+    q, b = np.concatenate(qs), np.concatenate(bs)
+    order = np.lexsort((q, b))
+    return q[order], np.searchsorted(b[order], np.arange(k + 1))
+
+
 def _euclid_min_screened(
     coords: np.ndarray,
     queries: np.ndarray,
@@ -776,7 +880,8 @@ def _euclid_min_screened(
     not i == queries[r].  Returns the minima (+inf where no candidate
     is admissible), the number of pairs valued through the Gram form (the
     sample's rows per traversal step, n per centre, then every screened
-    tile) and the number of exact kernel evaluations (one radius per
+    tile; the query-major pass values queries against centres again and is
+    not counted) and the number of exact kernel evaluations (one radius per
     candidate, then the survivors).  Pure; the buffers live for one call.
     """
     with np.errstate(over="ignore"):
@@ -786,31 +891,22 @@ def _euclid_min_screened(
         if n_cand == 0:
             return mins, 0, 0
         mid, s = _centre_and_shift(coords)
-        z = _scale(coords, mid, s, np.empty((n, dim)))
-        norms = np.einsum("ij,ij->i", z, z)
 
-        # centres from an evenly strided sample of the candidate rows; every
-        # row's nearest centre and step (6)'s left side
-        stride = -(-n_cand // _SAMPLE)
-        k = min(_n_clusters(n_cand), -(-n_cand // stride))
-        centres, screened = _farthest_point_centres(z[:n_cand:stride], norms[:n_cand:stride], k)
-        centres *= stride
+        centres, zc2, n_c, screened = _centres(coords, mid, s, n_cand)
         k = centres.size
-        nearest, lam = _centre_bounds(z, norms, centres)
+
+        # every row's norm and nearest centre by S_hat (ties to the earlier one)
+        norms = np.empty(n)
+        nearest = np.empty(n, dtype=np.intp)
+        for rows, sh in _front_s_hat(coords, mid, s, zc2, n_c, norms, new_norms=True):
+            nearest[rows] = sh.argmin(axis=1)
         screened += n * k
 
         # rows ordered by (cluster, position); non-candidates go last
         key = np.where(np.arange(n) < n_cand, nearest, k)
         perm = np.argsort(key, kind="stable")
         bounds = np.searchsorted(key[perm], np.arange(k + 1))
-        # the same values in cluster order, written over the copy read above.
-        # Freeing that copy and allocating another of its size raised peak
-        # RSS: the free lifts glibc's dynamic mmap threshold above the size,
-        # so the new copy came from the heap, which keeps freed pages. perm is
-        # in range, so mode="clip" clips nothing; it lets take write straight
-        # into z instead of through a temporary
-        _scale(np.take(coords, perm, axis=0, out=z, mode="clip"), mid, s, z)
-        scr = _Screen(coords, queries, limits, skip_self, s, perm, z, norms[perm], bounds,
+        scr = _Screen(coords, mid, s, queries, limits, skip_self, perm, norms[perm], bounds,
                       np.argsort(perm)[queries])
         # a tile is a block of query rows against one whole cluster slice
         buf = np.empty(max(_TILE >> 4, int(np.diff(bounds).max())))
@@ -832,11 +928,10 @@ def _euclid_min_screened(
         # pass 2: each other cluster with the queries step (6) cannot prune for
         # it under the bounds of pass 1, evaluated after all of them: each
         # row's best kept pair first, then what its bound leaves
-        reach_q, reach_c = np.ldexp(mins, s), np.ldexp(radius, s)
+        live, at = _live_pairs(scr, norms, zc2, n_c, own, np.ldexp(mins, s), np.ldexp(radius, s))
         thr, found = _prune_threshold(mins, s, dim), []
-        for b in filled:
-            live = (lam[b, queries] <= _reach(reach_q, reach_c[b], s, dim)) & (own != b)
-            count, kept = _screen_kept(scr, b, np.flatnonzero(live), thr, buf)
+        for b in np.flatnonzero(at[:-1] < at[1:]):
+            count, kept = _screen_kept(scr, b, live[at[b]: at[b + 1]], thr, buf)
             screened += count
             found += kept
         if found:
@@ -1210,25 +1305,29 @@ def greedy_cover(points: SamplePath | Sequence[Point], gauge: GaugeSpec, eps: fl
     Greedy rule, deterministic in input order: seed a new part with the first
     unassigned point, then absorb every later unassigned point whose gauge
     to all current members stays <= eps.  The part count upper-estimates the
-    minimal cover number of the point set at scale eps.
+    minimal cover number of the point set at scale eps.  Each member's gauge
+    column comes from gauge_block when it joins, so no n x n matrix is held.
     """
     if not eps > 0:   # NaN fails too; eps = +inf is one part
         raise ValueError(f"eps must be positive, got {eps}")
     path = points if isinstance(points, SamplePath) else SamplePath.from_points(list(points))
     n = len(path)
-    dist = pairwise_gauge(gauge, path)
     assignment = np.full(n, -1, dtype=np.int64)
     part = 0
     for seed in range(n):
         if assignment[seed] >= 0:
             continue
-        assignment[seed] = part
-        # running max gauge to the members absorbed so far
-        cand_max = dist[:, seed].copy()
-        for j in range(seed + 1, n):
-            if assignment[j] >= 0 or cand_max[j] > eps:
-                continue
+        j, cand_max = seed, None
+        while True:
             assignment[j] = part
-            np.maximum(cand_max, dist[:, j], out=cand_max)
+            # running max gauge to the members absorbed so far
+            col = gauge_block(gauge, path, slice(0, n), [j])[:, 0]
+            cand_max = col if cand_max is None else np.maximum(cand_max, col, out=cand_max)
+            # cand_max only grows, so the next member is the first later row
+            # that is free and within eps
+            later = np.flatnonzero((assignment[j + 1:] < 0) & (cand_max[j + 1:] <= eps))
+            if not later.size:
+                break
+            j += 1 + int(later[0])
         part += 1
     return GreedyCover(n_parts=part, assignment=assignment)

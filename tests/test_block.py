@@ -25,8 +25,10 @@ from gaugebounds import (
     ExceptionSet,
     GaugeSpec,
     PrefixNNBackend,
+    ProcessSpec,
     SamplePath,
     gauge_diameter,
+    greedy_cover,
     pairwise_gauge,
     prefix_min_indexed,
 )
@@ -41,6 +43,7 @@ from gaugebounds.geometry import (
     distance_transform,
     gauge_block,
 )
+from gaugebounds.processes import EmbeddingSpec, embed, simulate
 from test_screen import adversarial_coords
 
 SETTINGS = settings(max_examples=80, deadline=None,
@@ -265,6 +268,98 @@ def test_gauge_diameter_holds_row_blocks_not_the_matrix():
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
     assert got == pairwise_gauge(gauge, path).max()
+
+
+def _screen_peak(coords):
+    """The tracemalloc peak of one certified-screen call on the prefix
+    problem with tau = 1, beyond the memory held before it."""
+    n = len(coords)
+    problem = (1 + np.arange(n - 1), np.arange(1, n))
+    geometry._euclid_min_screened(coords, *problem)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        geometry._euclid_min_screened(coords, *problem)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_screen_holds_no_table_of_centres_by_rows():
+    # n = 16384 gives 128 centres: a centre-by-row table is 16.8 MB; the
+    # screen holds O(n) values, a few tiles and the live (query, cluster)
+    # pairs
+    path = embed(EmbeddingSpec.fourier(8),
+                 simulate(ProcessSpec.circle_rotation(p=0.01, seed=6), 16384))
+    assert _screen_peak(path.coords) <= 8 * 2 ** 20
+
+
+def test_screen_holds_no_scaled_copy_of_the_path():
+    # raster n = 4096, D = 256: the path is 8 MB, and so would be a scaled
+    # copy of it
+    path = embed(EmbeddingSpec.raster_rotation(with_scaling=True),
+                 simulate(ProcessSpec.torus_rotation(p=0.1, seed=7), 4096))
+    assert _screen_peak(path.coords) <= 4 * 2 ** 20
+
+
+def _matrix_cover(gauge, path, eps):
+    """The greedy cover walked over the full pairwise matrix, one later point
+    at a time: the definition greedy_cover must reproduce."""
+    dist = pairwise_gauge(gauge, path)
+    n = len(path)
+    assignment = np.full(n, -1, dtype=np.int64)
+    part = 0
+    for seed in range(n):
+        if assignment[seed] >= 0:
+            continue
+        assignment[seed] = part
+        cand_max = dist[:, seed].copy()
+        for j in range(seed + 1, n):
+            if assignment[j] >= 0 or cand_max[j] > eps:
+                continue
+            assignment[j] = part
+            np.maximum(cand_max, dist[:, j], out=cand_max)
+        part += 1
+    return part, assignment
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=DIMS), case=st.sampled_from(sorted(CASES)),
+       seed=st.integers(0, 2 ** 16), tile=tiles,
+       pick=st.one_of(st.floats(0.0, 1.0), st.sampled_from(["tiny", "inf"])))
+def test_greedy_cover_matches_the_matrix_walk(coords, case, seed, tile, pick):
+    # eps at an attained gauge value (ties with it join), the smallest
+    # positive float or +inf (one part, hinge and local_lipschitz aside)
+    gauge, variant = CASES[case]
+    path = _path(coords, variant, np.random.default_rng(seed))
+    if pick == "tiny":
+        eps = 5e-324
+    elif pick == "inf":
+        eps = np.inf
+    else:
+        values = np.sort(pairwise_gauge(gauge, path), axis=None)
+        eps = float(values[int(pick * (values.size - 1))]) or 5e-324
+    with _tiled(tile):
+        cover = greedy_cover(path, gauge, eps)
+    parts, assignment = _matrix_cover(gauge, path, eps)
+    assert cover.n_parts == parts
+    assert np.array_equal(cover.assignment, assignment)
+
+
+def test_greedy_cover_holds_columns_not_the_matrix():
+    # the matrix alone is 8 n^2 = 33.6 MB
+    n = 2048
+    path = SamplePath.from_coords(np.random.default_rng(4).random((n, 8)))
+    gauge = GaugeSpec.lipschitz(1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cover = greedy_cover(path, gauge, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+    assert cover.n_parts > 1000
 
 
 # ---------------------------------------------------------------------------

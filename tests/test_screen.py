@@ -377,3 +377,127 @@ def test_cluster_bound_keeps_its_error_term():
         [999999.9991009417, 1000000.0005053553], [1000000.0003099806, 999999.9995274608],
         [1000000.0004911108, -0.0]])
     _check_prefix(coords, "hinge", 1, (None, 3), exceptions=False)
+
+
+def _whole_path_scaling(coords):
+    mid, s = geometry._centre_and_shift(coords)
+    z = geometry._scale(coords, mid, s, np.empty(coords.shape))
+    return mid, s, z, np.einsum("ij,ij->i", z, z)
+
+
+SCALED_DIMS = (1, 2, 8, 256)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=SCALED_DIMS), data=st.data())
+def test_scaled_rows_are_the_whole_path_scaling(coords, data):
+    # the screen scales rows where a product needs them; each scaled row, its
+    # -2 multiple and each block's norms must be those of the whole path.
+    # Tiny columns beside large ones make the scaling underflow
+    n, dim = coords.shape
+    coords[:, ::2] *= data.draw(st.sampled_from([1.0, 1e-300, 1e-310]))
+    mid, s, z, norms = _whole_path_scaling(coords)
+    scr = geometry._Screen(coords, mid, s, *([None] * 7))
+    rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    assert np.array_equal(_bits(geometry._scaled(scr, rows)), _bits(z[rows]))
+    assert np.array_equal(_bits(geometry._scaled(scr, rows, -2.0)), _bits(-2.0 * z[rows]))
+    r0 = data.draw(st.integers(0, n - 1))
+    r1 = data.draw(st.integers(r0 + 1, n))
+    block = geometry._scale(coords[r0:r1], mid, s, np.empty((r1 - r0, dim)))
+    assert np.array_equal(_bits(block), _bits(z[r0:r1]))
+    assert np.array_equal(_bits(np.einsum("ij,ij->i", block, block)), _bits(norms[r0:r1]))
+    # the front end's norms, from the group that holds row first on
+    centres = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    first = data.draw(st.integers(0, n - 1))
+    got = np.full(n, np.nan)
+    with mock.patch.object(geometry, "_TILE", data.draw(tiles) or geometry._TILE):
+        groups = [rows for rows, _sh in geometry._front_s_hat(
+            coords, mid, s, -2.0 * z[centres].T, norms[centres], got, first, new_norms=True)]
+    start = groups[0].start
+    assert start <= first < groups[0].stop
+    assert np.array_equal(_bits(got[start:]), _bits(norms[start:]))
+
+
+@pytest.mark.parametrize("large, tiny", [(1.0, 1e-310), (1e150, 1e-300), (1e-3, 5e-324)])
+def test_scaled_rows_where_the_scaling_underflows(large, tiny):
+    # z of a tiny column beside a large one rounds as it underflows, so -2 z
+    # is not one product with -2^(s+1) there, and ldexp is the reference
+    for seed in range(4):
+        coords = np.random.default_rng(seed).standard_normal((50, 4))
+        coords[:, 0] *= large
+        coords[:, 1:] *= tiny
+        mid, s, z, _norms = _whole_path_scaling(coords)
+        assert np.array_equal(_bits(z), _bits(np.ldexp(coords - mid, s)))
+        scr = geometry._Screen(coords, mid, s, *([None] * 7))
+        rows = np.arange(50)[::-1]
+        assert np.array_equal(_bits(geometry._scaled(scr, rows, -2.0)), _bits(-2.0 * z[rows]))
+
+
+def _gram_inputs_are_whole_path_rows(coords, calls):
+    _mid, _s, z, norms = _whole_path_scaling(coords)
+    pairs = {(f * row).tobytes() + nz.tobytes() for row, nz in zip(z, norms) for f in (1.0, -2.0)}
+    for a, b, na, nb in calls:
+        for rows, nr in ((np.atleast_2d(a), na), (np.atleast_2d(b.T), nb)):
+            nr = np.broadcast_to(np.ravel(nr), (len(rows),))
+            for row, nz in zip(rows, nr):
+                assert row.tobytes() + nz.tobytes() in pairs
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=SCALED_DIMS), tile=tiles, n_clusters=clusters,
+       sample=samples, seed=st.integers(0, 2 ** 16), loo=st.booleans())
+def test_every_gram_input_is_a_row_of_the_whole_path_scaling(coords, tile, n_clusters, sample,
+                                                             seed, loo):
+    # the traversal, the front end, the query-major pass and every tile of
+    # both passes: each Gram operand row is a row of the whole path's z (or
+    # -2 z) and each norm beside it is that row's, bit for bit
+    n = len(coords)
+    if loo:
+        problem = (np.arange(n), np.full(n, n), True)
+    else:
+        tau = int(np.random.default_rng(seed).integers(1, n))
+        problem = (tau + np.arange(n - tau), np.arange(1, n - tau + 1), False)
+    calls, s_hat = [], geometry._s_hat
+
+    def recorded(a, b, na, nb, out=None):
+        calls.append((a.copy(), b.copy(), np.copy(na), np.copy(nb)))
+        return s_hat(a, b, na, nb, out)
+
+    with _patched(tile, n_clusters, sample), mock.patch.object(geometry, "_s_hat", recorded):
+        geometry._euclid_min_screened(coords, *problem)
+    _gram_inputs_are_whole_path_rows(coords, calls)
+
+
+@SETTINGS
+@given(coords=adversarial_coords(dims=SCALED_DIMS), n_clusters=st.sampled_from([2, 3, 1000]),
+       seed=st.integers(0, 2 ** 16), nudge=st.sampled_from([0.0, 1e-16, -1e-16, 1e-15, 0.5]))
+def test_query_major_pass_emits_exactly_the_pairs_step_6_keeps(coords, n_clusters, seed, nudge):
+    # every query against every centre by step (6) itself, from the front
+    # end's S_hat, with pass-1 bounds and radii placed near the boundary
+    n, dim = coords.shape
+    rng = np.random.default_rng(seed)
+    mid, s, _z, norms = _whole_path_scaling(coords)
+    with np.errstate(over="ignore"), _patched(None, n_clusters):
+        centres, zc2, n_c, _pairs = geometry._centres(coords, mid, s, n)
+        k = centres.size
+        sh = np.concatenate([b.copy() for _r, b in
+                             geometry._front_s_hat(coords, mid, s, zc2, n_c, norms)])
+        nearest = sh.argmin(axis=1)
+        perm = np.argsort(nearest, kind="stable")
+        bounds = np.searchsorted(nearest[perm], np.arange(k + 1))
+        queries = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        scr = geometry._Screen(coords, mid, s, queries, np.full(queries.size, n), False, perm,
+                               norms[perm], bounds, np.argsort(perm)[queries])
+        lam = geometry._centre_bounds(sh.copy(), norms[:, None], n_c, dim)[queries]
+        reach_c = np.ldexp(rng.random(k) * rng.choice([0.0, 1.0, 1e-3]), s)
+        pick = rng.integers(0, k, queries.size)
+        base = lam[np.arange(queries.size), pick] - reach_c[pick]
+        reach_q = np.maximum(base * (1.0 + nudge), 0.0)
+        reach_q[rng.random(queries.size) < 0.1] = 0.0
+        reach_q[rng.random(queries.size) < 0.1] = np.inf
+        own = nearest[queries]
+        keep = lam <= geometry._reach(reach_q[:, None], reach_c, s, dim)
+        keep &= (bounds[:-1] < bounds[1:]) & (np.arange(k) != own[:, None])
+        live, at = geometry._live_pairs(scr, norms, zc2, n_c, own, reach_q, reach_c)
+    for b in range(k):
+        assert np.array_equal(live[at[b]: at[b + 1]], np.flatnonzero(keep[:, b]))
