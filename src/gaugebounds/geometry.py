@@ -31,6 +31,7 @@ concurrent use.  +inf is IEEE infinity, never a sentinel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -502,23 +503,26 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # With one centre this is the plain screen.
 #
 # No scaled copy of the path is stored: step (2) scales rows where a product
-# needs them (the front end's row blocks, the sample, a cluster's members
-# once per visit, each tile's queries), and a scaled value depends on its
-# row alone, so each Gram input is the one a stored copy would hold.  The
-# BLAS result of a pair may depend on the shape of its product (OpenBLAS
-# 0.3.31 gives a row other last bits in blocks of other heights), so the
-# query-major pass recomputes S_hat in the front end's own row blocks, and
-# every count is what a stored copy gave.  The call holds O(n) values
-# besides a few tiles, one cluster's scaled members and the (query,
-# cluster) pairs that pass 2 screens.
+# needs them (the front end's row blocks, which read the sample where it is
+# every candidate, the sample, a cluster's members once per visit, each
+# tile's queries), and a scaled value depends on its row alone, so each
+# Gram input is the one a stored copy would hold, or that row times a power
+# of two that leaves each of its products unchanged (step (3)).  The BLAS
+# result of a pair may depend on the shape of its product (OpenBLAS 0.3.31
+# gives a row other last bits in blocks of other heights), so the
+# query-major pass takes S_hat in the front end's own row blocks: the
+# front end keeps its first _TILE / 4 values and the pass recomputes the
+# rest, and every count is what a stored copy gave.  The call holds O(n)
+# values besides a few tiles, those kept values, one cluster's scaled
+# members and the (query, cluster) pairs that pass 2 screens.
 #
 # Derivation.  u = 2^-53, eta = 2^-1074 (an underflowing product or scaling
 # errs by at most eta/2; additions never do), gamma_k = k u / (1 - k u)
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Pairs
 # are q, x in R^D, S = ||x - q||^2 in real arithmetic, and
 # K = fl(sqrt(sum_k fl(fl(x_k - q_k)^2))) is the kernel value.  Steps (2)
-# to (7) stand beside the one function that computes each: _centre_and_shift
-# and _scale, _s_hat, _lower_bound, _prune_threshold, _reach and _sqrt_cap.
+# to (6) stand beside the one function that computes each: _centre_and_shift
+# and _scale, _s_hat, _lower_bound, _prune_threshold and _reach.
 #
 #  (1) Kernel.  fl(x_k - q_k) = (x_k - q_k)(1 + d), |d| <= u; a square
 #      loses a factor (1 - u) and at most eta/2; a sum of D nonnegative
@@ -562,8 +566,7 @@ def _centre_and_shift(coords: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _scale(x: np.ndarray, mid: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     np.subtract(x, mid, out=out)
-    # a product with the float 2^s rounds as ldexp does, and is faster
-    return np.multiply(out, 2.0 ** s, out=out) if s <= 1023 else np.ldexp(out, s, out=out)
+    return np.ldexp(out, s, out=out) if s else out
 
 
 #  (3) Gram form.  Norms n = fl(z.z) and the BLAS products
@@ -584,6 +587,20 @@ def _s_hat(a: np.ndarray, b: np.ndarray, na, nb, out: np.ndarray | None = None) 
     s_hat += na
     s_hat += nb
     return s_hat
+
+
+#      A pass tile and the query-major pass split the powers of two of
+#      -2 z_q . z_x between the sides of their products: the query rows are
+#      fl(x - c) 2^t, with t = 0 where 0 <= s <= 511 and t = s elsewhere,
+#      and the other side is -2^(1+s-t) z_x (a tile's members: fl(x - c) 2^t
+#      times -2^(1+2(s-t))).  Where t = 0 these scalings are exact (scaling
+#      up never rounds, and the factors are finite floats), so each
+#      elementary product is the real number (-2 z_q,k) z_x,k and rounds as
+#      that product does: G is bit for bit that of -2 z_q against z_x, and
+#      a query row costs one subtraction (_scale skips a shift of 0).
+#      _tile_shift takes t.
+def _tile_shift(s: int) -> int:
+    return 0 if 0 <= s <= 511 else s
 
 
 #  (4) ||z||^2 <= (n + D eta) / (1 - gamma_D) and (a + b)^2 <= 2a^2 + 2b^2
@@ -646,19 +663,6 @@ def _reach(uu: np.ndarray, rr, s: int, dim: int) -> np.ndarray:
     return (uu + rr) * (1.0 + _gamma(dim + 16)) + a_abs
 
 
-#  (7) Query-wide filter.  Rounding is monotone, so for a query q, taking
-#      the largest centre norm in r_c and the largest radius in (6) gives
-#      L_lo <= L and R_hi >= the right side of (6) for every centre; a
-#      centre with fl(sqrt(max(L_lo, 0))) > R_hi is pruned by (6) itself.
-#      The square root need not be taken: fl(sqrt(y)) <= R implies
-#      sqrt(y) (1-u) <= R (sqrt never underflows), so y <= R^2 / (1-u)^2 <=
-#      fl(fl(R R) (1 + 8u)) = Y, as (1-u)^4 (1 + 8u) >= 1 and fl(R R) does
-#      not underflow (R >= 2^-249 by A); so L_lo > Y prunes.  An overflowing
-#      R R makes Y +inf, which prunes nothing.  _sqrt_cap takes R_hi.
-def _sqrt_cap(r: np.ndarray) -> np.ndarray:
-    return (r * r) * (1.0 + 8 * _U)
-
-
 def _n_clusters(n: int) -> int:
     """Farthest-point centres for n candidate rows: about sqrt(n)."""
     return max(1, math.isqrt(n))
@@ -693,14 +697,15 @@ def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int) -> tuple[n
 
 def _centres(coords: np.ndarray, mid: np.ndarray, s: int, n_cand: int):
     """Farthest-point centres from an evenly strided sample of the first
-    n_cand rows: their path rows, -2 z_c^T, their norms and the pairs the
-    traversal valued."""
+    n_cand rows: their path rows, -2 z_c^T, their norms, the pairs the
+    traversal valued and, where the sample is every one of those rows, its
+    scaled rows and norms."""
     stride = -(-n_cand // _SAMPLE)
     sample = coords[:n_cand:stride]
     zs = _scale(sample, mid, s, np.empty(sample.shape))
     ns = np.einsum("ij,ij->i", zs, zs)
     at, pairs = _farthest_point_centres(zs, ns, min(_n_clusters(n_cand), len(zs)))
-    return at * stride, -2.0 * zs[at].T, ns[at], pairs
+    return at * stride, -2.0 * zs[at].T, ns[at], pairs, (zs, ns) if stride == 1 else None
 
 
 def _centre_bounds(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
@@ -712,10 +717,12 @@ def _centre_bounds(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
 
 
 def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
-                 n_c: np.ndarray, norms: np.ndarray, first: int = 0, new_norms: bool = False):
+                 n_c: np.ndarray, norms: np.ndarray, first: int = 0, new_norms: bool = False,
+                 pre: tuple | None = None):
     """(rows, S_hat) of the path rows against the centres (zc2 = -2 z_c^T,
     norms n_c), group by group from the one that holds row first: each
-    product is one front-end block of rows, scaled into one reused buffer,
+    product is one front-end block of rows, scaled into one reused buffer
+    or read from pre (the scaled first rows of the path and their norms),
     and a group is two blocks (about _TILE / 8 values).  With new_norms
     each block first writes its rows' norms into norms."""
     (n, dim), k = coords.shape, n_c.size
@@ -727,9 +734,14 @@ def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
         out = sh[: (g1 - g0) * k].reshape(-1, k)
         for r0 in range(g0, g1, step):
             rows = slice(r0, min(g1, r0 + step))
-            z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
-            if new_norms:
-                np.einsum("ij,ij->i", z, z, out=norms[rows])
+            if pre is not None and rows.stop <= len(pre[0]):
+                z = pre[0][rows]
+                if new_norms:
+                    norms[rows] = pre[1][rows]
+            else:
+                z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
+                if new_norms:
+                    np.einsum("ij,ij->i", z, z, out=norms[rows])
             _s_hat(z, zc2, norms[rows, None], n_c, out[r0 - g0: rows.stop - g0])
         yield slice(g0, g1), out
 
@@ -741,16 +753,10 @@ def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
 _Screen = namedtuple("_Screen", "coords mid s queries limits skip_self perm norms bounds qpos")
 
 
-def _scaled(scr: _Screen, rows: np.ndarray, factor: float = 1.0) -> np.ndarray:
-    """Step (2) of the path rows rows times factor (1 or -2), as a new array."""
+def _rows(scr: _Screen, rows, s: int) -> np.ndarray:
+    """fl(x - c) 2^s of the path rows rows, as a new array."""
     z = scr.coords[rows]
-    if factor != 1.0 and 0 <= scr.s < 1023:
-        # scaling up never rounds, so one product gives -2 z
-        np.subtract(z, scr.mid, out=z)
-        return np.multiply(z, factor * 2.0 ** scr.s, out=z)
-    z = _scale(z, scr.mid, scr.s, z)
-    z *= factor
-    return z
+    return _scale(z, scr.mid, s, z)
 
 
 def _kernel(coords: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -777,21 +783,17 @@ def _cluster_tiles(scr: _Screen, b: int, rows: np.ndarray, buf: np.ndarray):
     rows, cnt = rows[cnt > 0], cnt[cnt > 0]
     if not rows.size:
         return
-    # the members some query admits, and those that are queries here (pass 1
-    # queries are mostly members), scaled once for every tile
-    at = scr.qpos[rows] - c0
-    inside = (at >= 0) & (at < c1 - c0)
-    zx = _scaled(scr, scr.perm[c0: c0 + max(int(cnt.max()), int(at[inside].max(initial=-1)) + 1)])
+    # the members some query admits, scaled once for every tile and carrying
+    # the tile's factor (step (3))
+    t = _tile_shift(scr.s)
+    zx = _rows(scr, scr.perm[c0: c0 + int(cnt.max())], t)
+    zx *= -2.0 ** (1 + 2 * (scr.s - t))
     per = max(1, (_TILE >> 4) // int(cnt.max()))
     for b0 in range(0, rows.size, per):
-        br, bc, ins = rows[b0: b0 + per], cnt[b0: b0 + per], inside[b0: b0 + per]
+        br, bc = rows[b0: b0 + per], cnt[b0: b0 + per]
         qp, w, end = scr.qpos[br], int(bc.max()), c0 + int(bc.max())
-        if ins.all():
-            zq2 = zx[qp - c0]
-            zq2 *= -2.0
-        else:
-            zq2 = _scaled(scr, scr.queries[br], -2.0)
-        lt = _s_hat(zq2, zx[:w].T, scr.norms[qp, None], scr.norms[c0:end],
+        zq = _rows(scr, scr.queries[br], t)
+        lt = _s_hat(zq, zx[:w].T, scr.norms[qp, None], scr.norms[c0:end],
                     buf[: br.size * w].reshape(br.size, w))
         _lower_bound(lt, scr.norms[qp, None], scr.norms[c0:end].max(), zx.shape[1])
         # inadmissible pairs get +inf, which the clamped T always prunes
@@ -837,35 +839,38 @@ def _screen_kept(scr: _Screen, b: int, rows: np.ndarray, thr: np.ndarray,
 
 
 def _live_pairs(scr: _Screen, norms: np.ndarray, zc2: np.ndarray, n_c: np.ndarray,
-                own: np.ndarray, reach_q: np.ndarray, reach_c: np.ndarray):
+                front: list, own: np.ndarray, reach_q: np.ndarray, reach_c: np.ndarray):
     """The (query, cluster) pairs that step (6) cannot prune, own clusters and
     empty ones left out: query numbers grouped by cluster in query order,
-    and each cluster's start in them.  S_hat comes from the front end's
-    products (norms in path order); step (7) sorts out most pairs, and the
-    rest take step (6) itself."""
-    k, dim, s = n_c.size, scr.coords.shape[1], scr.s
-    filled = scr.bounds[:-1] < scr.bounds[1:]
+    and each cluster's start in them.  S_hat comes from the front end: the
+    groups it kept in front, then its products again in the same row blocks
+    (norms in path order).  Each pair is held as one key
+    b * len(queries) + q, in 32 bits where that fits."""
+    k, dim, s, m = n_c.size, scr.coords.shape[1], scr.s, scr.queries.size
+    empty = scr.bounds[:-1] == scr.bounds[1:]
     by_row = np.argsort(scr.queries, kind="stable")
     rows_of = scr.queries[by_row]
-    n_q = norms[scr.queries]
-    rr_top = -_lower_bound(np.zeros(n_q.size), n_q, n_c.max(), dim)
-    y_top = _sqrt_cap(_reach(reach_q, reach_c[filled].max(), s, dim))
-    qs, bs = [], []
-    for rows, sh in _front_s_hat(scr.coords, scr.mid, s, zc2, n_c, norms, int(rows_of[0])):
+    key_type = np.int32 if k * m < 2 ** 31 else np.int64
+    cols, keys = np.arange(k, dtype=key_type) * m, []
+    # the front end's products with the powers of two split (step (3))
+    t, first = _tile_shift(s), max(int(rows_of[0]), front[-1][0].stop if front else 0)
+    again = _front_s_hat(scr.coords, scr.mid, t, zc2 * 2.0 ** (s - t), n_c, norms, first)
+    for rows, sh in itertools.chain(front, again if first < len(norms) else ()):
         lo, hi = np.searchsorted(rows_of, (rows.start, rows.stop))
-        q, at = by_row[lo:hi], rows_of[lo:hi] - rows.start
-        if at.size < len(sh) or (at != np.arange(at.size)).any():
-            sh = sh[at]
-        i, b = np.nonzero(sh - rr_top[q, None] <= y_top[q, None])
-        keep = filled[b] & (b != own[q[i]])
-        i, b = i[keep], b[keep]
-        lam = _centre_bounds(sh[i, b], n_q[q[i]], n_c[b], dim)
-        live = lam <= _reach(reach_q[q[i]], reach_c[b], s, dim)
-        qs.append(q[i[live]])
-        bs.append(b[live])
-    q, b = np.concatenate(qs), np.concatenate(bs)
-    order = np.lexsort((q, b))
-    return q[order], np.searchsorted(b[order], np.arange(k + 1))
+        q, pos = by_row[lo:hi], rows_of[lo:hi] - rows.start
+        if pos.size < len(sh) or (pos != np.arange(pos.size)).any():
+            sh = sh[pos]
+        lam = _centre_bounds(sh, norms[scr.queries[q], None], n_c, dim)
+        live = lam <= _reach(reach_q[q, None], reach_c, s, dim)
+        live[:, empty] = False
+        live[np.arange(q.size), own[q]] = False
+        keys.append((cols + q[:, None].astype(key_type))[live])
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    at = np.searchsorted(key, np.arange(k + 1) * m)
+    key %= m
+    return key, at
 
 
 def _euclid_min_screened(
@@ -892,14 +897,19 @@ def _euclid_min_screened(
             return mins, 0, 0
         mid, s = _centre_and_shift(coords)
 
-        centres, zc2, n_c, screened = _centres(coords, mid, s, n_cand)
+        centres, zc2, n_c, screened, pre = _centres(coords, mid, s, n_cand)
         k = centres.size
 
-        # every row's norm and nearest centre by S_hat (ties to the earlier one)
+        # every row's norm and nearest centre by S_hat (ties to the earlier one);
+        # the groups within the first _TILE / 4 values are kept for pass 2
         norms = np.empty(n)
         nearest = np.empty(n, dtype=np.intp)
-        for rows, sh in _front_s_hat(coords, mid, s, zc2, n_c, norms, new_norms=True):
+        front = []
+        for rows, sh in _front_s_hat(coords, mid, s, zc2, n_c, norms, new_norms=True, pre=pre):
             nearest[rows] = sh.argmin(axis=1)
+            if rows.stop * k <= _TILE >> 2:
+                front.append((rows, sh.copy()))
+        del pre
         screened += n * k
 
         # rows ordered by (cluster, position); non-candidates go last
@@ -928,10 +938,11 @@ def _euclid_min_screened(
         # pass 2: each other cluster with the queries step (6) cannot prune for
         # it under the bounds of pass 1, evaluated after all of them: each
         # row's best kept pair first, then what its bound leaves
-        live, at = _live_pairs(scr, norms, zc2, n_c, own, np.ldexp(mins, s), np.ldexp(radius, s))
+        live, at = _live_pairs(scr, norms, zc2, n_c, front, own, np.ldexp(mins, s),
+                               np.ldexp(radius, s))
         thr, found = _prune_threshold(mins, s, dim), []
         for b in np.flatnonzero(at[:-1] < at[1:]):
-            count, kept = _screen_kept(scr, b, live[at[b]: at[b + 1]], thr, buf)
+            count, kept = _screen_kept(scr, b, live[at[b]: at[b + 1]].astype(np.intp), thr, buf)
             screened += count
             found += kept
         if found:

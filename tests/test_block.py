@@ -287,8 +287,8 @@ def _screen_peak(coords):
 
 def test_screen_holds_no_table_of_centres_by_rows():
     # n = 16384 gives 128 centres: a centre-by-row table is 16.8 MB; the
-    # screen holds O(n) values, a few tiles and the live (query, cluster)
-    # pairs
+    # screen holds O(n) values, a few tiles, _TILE / 4 of the front end's
+    # values and the live (query, cluster) pairs
     path = embed(EmbeddingSpec.fourier(8),
                  simulate(ProcessSpec.circle_rotation(p=0.01, seed=6), 16384))
     assert _screen_peak(path.coords) <= 8 * 2 ** 20

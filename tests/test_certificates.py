@@ -274,41 +274,3 @@ def test_step_6_reach_prunes_only_clusters_out_of_reach(ub, r, s, dim):
     need = (grown + Fraction(math.sqrt(dim)) * c) / (1 - 2 * U)
     base = Fraction(2) ** s * (exact(r) + exact(ub))
     target(share(need - base, exact(reach) - base), label="step 6 reach")
-
-
-# R of step (7): the right side of (6), which is at least A >= 2^-249
-reaches = st.one_of(st.floats(2.0 ** -249, float(np.finfo(np.float64).max), width=64),
-                    st.sampled_from([2.0 ** -249, 1.0, 2.0 ** 511, 2.0 ** 512, np.inf]))
-
-
-@SETTINGS
-@given(r=reaches)
-def test_step_7_cap_bounds_every_square_whose_root_may_reach_r(r):
-    # every y with fl(sqrt(y)) <= R is at most Y = _sqrt_cap(R); fl(sqrt) is
-    # monotone, so checking the float after Y covers every larger y
-    with np.errstate(over="ignore"):
-        cap = geometry._sqrt_cap(np.array([r]))[0]
-    above = np.nextafter(cap, np.inf)
-    if not np.isfinite(above):
-        return                             # Y is +inf or the largest float: nothing is pruned
-    assert np.sqrt(above) > r
-    target(share(exact(cap) - exact(r) ** 2, exact(r) ** 2 * 4 * U), label="step 7 cap")
-
-
-@SETTINGS
-@given(x=rows(n_rows=(2, 5)), ub=st.lists(magnitudes, min_size=5, max_size=5),
-       radius=st.lists(magnitudes, min_size=5, max_size=5), s=shifts)
-def test_step_7_filter_keeps_every_centre_step_6_keeps(x, ub, radius, s):
-    # with the largest centre norm in r_c and the largest radius, the
-    # query-wide L_lo and Y never prune a pair that (6) itself keeps
-    dim, n = x.shape[1], len(x)
-    z, norms, _s = scaled(x)
-    with np.errstate(over="ignore"):
-        uu, rr = np.ldexp(np.array(ub[:n]), s), np.ldexp(np.array(radius[:n]), s)
-        s_hat = geometry._s_hat(z, -2.0 * z.T, norms[:, None], norms)
-        lam = geometry._centre_bounds(s_hat.copy(), norms[:, None], norms, dim)
-        keeps = lam <= geometry._reach(uu[:, None], rr, s, dim)
-        rr_top = -geometry._lower_bound(np.zeros(n), norms, norms.max(), dim)
-        y_top = geometry._sqrt_cap(geometry._reach(uu, rr.max(), s, dim))
-        near = s_hat - rr_top[:, None] <= y_top[:, None]
-    assert not (keeps & ~near).any()

@@ -388,59 +388,91 @@ def _whole_path_scaling(coords):
 SCALED_DIMS = (1, 2, 8, 256)
 
 
+def _tile_factors(s):
+    """The powers of two that a tile puts on z_q and z_x (see _tile_shift)."""
+    t = geometry._tile_shift(s)
+    return 2.0 ** (t - s), -(2.0 ** (1 + s - t))
+
+
+def _tile_rows(coords, mid, s, rows):
+    """A tile's query rows and member rows for the path rows rows."""
+    t = geometry._tile_shift(s)
+    scr = geometry._Screen(coords, mid, s, *([None] * 7))
+    members = geometry._rows(scr, rows, t)
+    members *= -2.0 ** (1 + 2 * (s - t))
+    return geometry._rows(scr, rows, t), members
+
+
 @SETTINGS
 @given(coords=adversarial_coords(dims=SCALED_DIMS), data=st.data())
 def test_scaled_rows_are_the_whole_path_scaling(coords, data):
-    # the screen scales rows where a product needs them; each scaled row, its
-    # -2 multiple and each block's norms must be those of the whole path.
+    # the screen scales rows where a product needs them; each row a tile
+    # takes, its member rows and each block's norms must be the whole path's
+    # z, or z times a power of two that leaves every product as it was.
     # Tiny columns beside large ones make the scaling underflow
     n, dim = coords.shape
     coords[:, ::2] *= data.draw(st.sampled_from([1.0, 1e-300, 1e-310]))
     mid, s, z, norms = _whole_path_scaling(coords)
-    scr = geometry._Screen(coords, mid, s, *([None] * 7))
     rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-    assert np.array_equal(_bits(geometry._scaled(scr, rows)), _bits(z[rows]))
-    assert np.array_equal(_bits(geometry._scaled(scr, rows, -2.0)), _bits(-2.0 * z[rows]))
+    fq, fx = _tile_factors(s)
+    zq, zx = _tile_rows(coords, mid, s, rows)
+    assert np.array_equal(_bits(zq), _bits(fq * z[rows]))
+    assert np.array_equal(_bits(zx), _bits(fx * z[rows]))
+    assert fq * fx == -2.0
     r0 = data.draw(st.integers(0, n - 1))
     r1 = data.draw(st.integers(r0 + 1, n))
     block = geometry._scale(coords[r0:r1], mid, s, np.empty((r1 - r0, dim)))
     assert np.array_equal(_bits(block), _bits(z[r0:r1]))
     assert np.array_equal(_bits(np.einsum("ij,ij->i", block, block)), _bits(norms[r0:r1]))
-    # the front end's norms, from the group that holds row first on
+    # the front end's norms, from the group that holds row first on, with
+    # the first rows read from the traversal's sample or not
     centres = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     first = data.draw(st.integers(0, n - 1))
+    p = data.draw(st.integers(0, n))
+    pre = data.draw(st.sampled_from([None, (z[:p], norms[:p])]))
     got = np.full(n, np.nan)
     with mock.patch.object(geometry, "_TILE", data.draw(tiles) or geometry._TILE):
         groups = [rows for rows, _sh in geometry._front_s_hat(
-            coords, mid, s, -2.0 * z[centres].T, norms[centres], got, first, new_norms=True)]
+            coords, mid, s, -2.0 * z[centres].T, norms[centres], got, first, new_norms=True,
+            pre=pre)]
     start = groups[0].start
     assert start <= first < groups[0].stop
     assert np.array_equal(_bits(got[start:]), _bits(norms[start:]))
 
 
-@pytest.mark.parametrize("large, tiny", [(1.0, 1e-310), (1e150, 1e-300), (1e-3, 5e-324)])
-def test_scaled_rows_where_the_scaling_underflows(large, tiny):
-    # z of a tiny column beside a large one rounds as it underflows, so -2 z
-    # is not one product with -2^(s+1) there, and ldexp is the reference
+@pytest.mark.parametrize("large, tiny", [(1.0, 1e-310), (0.6, 1e-310), (1e150, 1e-300),
+                                         (1e-3, 5e-324)])
+def test_tile_rows_where_the_scaling_underflows(large, tiny):
+    # z of a tiny column beside a large one rounds as it underflows (s < 0
+    # scales down: s = -1 at large = 0.6); a tile's rows must still be z
+    # times its powers of two, with ldexp the reference
     for seed in range(4):
         coords = np.random.default_rng(seed).standard_normal((50, 4))
         coords[:, 0] *= large
         coords[:, 1:] *= tiny
         mid, s, z, _norms = _whole_path_scaling(coords)
         assert np.array_equal(_bits(z), _bits(np.ldexp(coords - mid, s)))
-        scr = geometry._Screen(coords, mid, s, *([None] * 7))
         rows = np.arange(50)[::-1]
-        assert np.array_equal(_bits(geometry._scaled(scr, rows, -2.0)), _bits(-2.0 * z[rows]))
+        fq, fx = _tile_factors(s)
+        zq, zx = _tile_rows(coords, mid, s, rows)
+        assert np.array_equal(_bits(zq), _bits(fq * z[rows]))
+        assert np.array_equal(_bits(zx), _bits(fx * z[rows]))
 
 
 def _gram_inputs_are_whole_path_rows(coords, calls):
-    _mid, _s, z, norms = _whole_path_scaling(coords)
-    pairs = {(f * row).tobytes() + nz.tobytes() for row, nz in zip(z, norms) for f in (1.0, -2.0)}
+    # each operand is z times one factor, the two factors of a product
+    # multiply to -2, and each norm beside a row is that row's z norm
+    _mid, s, z, norms = _whole_path_scaling(coords)
+    factors = {1.0, -2.0, *_tile_factors(s)}
+    rows_of = {f: {(f * row).tobytes() + nz.tobytes() for row, nz in zip(z, norms)}
+               for f in factors}
     for a, b, na, nb in calls:
+        found = []
         for rows, nr in ((np.atleast_2d(a), na), (np.atleast_2d(b.T), nb)):
             nr = np.broadcast_to(np.ravel(nr), (len(rows),))
-            for row, nz in zip(rows, nr):
-                assert row.tobytes() + nz.tobytes() in pairs
+            keys = [row.tobytes() + nz.tobytes() for row, nz in zip(rows, nr)]
+            found.append({f for f in factors if all(key in rows_of[f] for key in keys)})
+        assert any(fa * fb == -2.0 for fa in found[0] for fb in found[1])
 
 
 @SETTINGS
@@ -449,8 +481,9 @@ def _gram_inputs_are_whole_path_rows(coords, calls):
 def test_every_gram_input_is_a_row_of_the_whole_path_scaling(coords, tile, n_clusters, sample,
                                                              seed, loo):
     # the traversal, the front end, the query-major pass and every tile of
-    # both passes: each Gram operand row is a row of the whole path's z (or
-    # -2 z) and each norm beside it is that row's, bit for bit
+    # both passes: each Gram operand row is a row of the whole path's z times
+    # a power of two, the two powers of a product multiply to -2, and each
+    # norm beside a row is that row's, bit for bit
     n = len(coords)
     if loo:
         problem = (np.arange(n), np.full(n, n), True)
@@ -470,18 +503,21 @@ def test_every_gram_input_is_a_row_of_the_whole_path_scaling(coords, tile, n_clu
 
 @SETTINGS
 @given(coords=adversarial_coords(dims=SCALED_DIMS), n_clusters=st.sampled_from([2, 3, 1000]),
-       seed=st.integers(0, 2 ** 16), nudge=st.sampled_from([0.0, 1e-16, -1e-16, 1e-15, 0.5]))
-def test_query_major_pass_emits_exactly_the_pairs_step_6_keeps(coords, n_clusters, seed, nudge):
+       tile=tiles, seed=st.integers(0, 2 ** 16),
+       nudge=st.sampled_from([0.0, 1e-16, -1e-16, 1e-15, 0.5]))
+def test_query_major_pass_emits_exactly_the_pairs_step_6_keeps(coords, n_clusters, tile, seed,
+                                                                 nudge):
     # every query against every centre by step (6) itself, from the front
-    # end's S_hat, with pass-1 bounds and radii placed near the boundary
+    # end's S_hat, with pass-1 bounds and radii placed near the boundary and
+    # any number of the front end's groups kept
     n, dim = coords.shape
     rng = np.random.default_rng(seed)
     mid, s, _z, norms = _whole_path_scaling(coords)
-    with np.errstate(over="ignore"), _patched(None, n_clusters):
-        centres, zc2, n_c, _pairs = geometry._centres(coords, mid, s, n)
+    with np.errstate(over="ignore"), _patched(tile, n_clusters):
+        centres, zc2, n_c, _pairs, _pre = geometry._centres(coords, mid, s, n)
         k = centres.size
-        sh = np.concatenate([b.copy() for _r, b in
-                             geometry._front_s_hat(coords, mid, s, zc2, n_c, norms)])
+        groups = [(r, b.copy()) for r, b in geometry._front_s_hat(coords, mid, s, zc2, n_c, norms)]
+        sh = np.concatenate([b for _r, b in groups])
         nearest = sh.argmin(axis=1)
         perm = np.argsort(nearest, kind="stable")
         bounds = np.searchsorted(nearest[perm], np.arange(k + 1))
@@ -498,6 +534,8 @@ def test_query_major_pass_emits_exactly_the_pairs_step_6_keeps(coords, n_cluster
         own = nearest[queries]
         keep = lam <= geometry._reach(reach_q[:, None], reach_c, s, dim)
         keep &= (bounds[:-1] < bounds[1:]) & (np.arange(k) != own[:, None])
-        live, at = geometry._live_pairs(scr, norms, zc2, n_c, own, reach_q, reach_c)
+        # the query-major pass takes the first groups as the front end kept them
+        front = [(r, b.copy()) for r, b in groups[: int(rng.integers(0, len(groups) + 1))]]
+        live, at = geometry._live_pairs(scr, norms, zc2, n_c, front, own, reach_q, reach_c)
     for b in range(k):
         assert np.array_equal(live[at[b]: at[b + 1]], np.flatnonzero(keep[:, b]))
