@@ -11,14 +11,13 @@ prints one line of machine-readable error JSON to stderr and exits nonzero:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import importlib.util
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from datetime import datetime, timezone
 from pathlib import Path as FsPath
 
@@ -203,8 +202,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    import numpy as np
-
     gauge = parse_gauge(args.gauge)
     indices = tuple(int(i) for i in args.exclude.split(",")) if args.exclude else None
     path = pathio.read_path(args.infile)
@@ -233,15 +230,12 @@ def _cmd_estimate(args) -> int:
         if gauge.kind == "lipschitz" and exceptions is None:
             # estimators.good_turing's isolation fraction, on the chosen backend
             loo = estimators.leave_one_out_min(path, gauge, backend)
-            report["good_turing"] = float(np.count_nonzero(loo > args.t)) / loo.size
+            report["good_turing"] = estimators._exceedance_share(loo, args.t)
         else:
             report["good_turing"] = None
     if args.dump_profile:
-        entry = np.arange(profile.mins.size)
-        table = np.column_stack((entry, args.tau + entry, profile.mins))
-        with FsPath(args.dump_profile).open("w", newline="") as fh:
-            np.savetxt(fh, table, fmt=["%d", "%d", "%.17g"], delimiter=",", newline="\r\n",
-                       header="entry,position,min", comments="")
+        pathio.write_table(args.dump_profile, ("entry", "position", "min"),
+                           ((j, args.tau + j, m) for j, m in enumerate(profile.mins.tolist())))
     _write_json(report, args.out)
     return 0
 
@@ -319,28 +313,14 @@ def _cmd_study(args) -> int:
         n_seeds=args.n_seeds, seed=args.seed,
     )
     out = FsPath(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "n", "mean_G", "std_G", "n_seeds", "tau_mix", "tau_over_n"])
-        for row in rows:
-            writer.writerow([
-                format(row.p, ".17g"), row.n,
-                format(row.mean_g, ".17g"), format(row.std_g, ".17g"), row.n_seeds,
-                "" if row.tau_mix is None else row.tau_mix,
-                "" if row.tau_over_n is None else format(row.tau_over_n, ".17g"),
-            ])
+    # the wide table's columns are the DecayRow fields, in order
+    pathio.write_table(out, ("p", "n", "mean_G", "std_G", "n_seeds", "tau_mix", "tau_over_n"),
+                       map(astuple, rows))
+    series = [(row.p, name, math.log(row.n), math.log(value)) for row in rows
+              for name, value in (("ln_G", row.mean_g), ("ln_tau_over_n", row.tau_over_n))
+              if value is not None and value > 0]
     long_out = FsPath(args.long_out) if args.long_out else out.with_name(out.stem + "_long.csv")
-    with long_out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "series", "ln_n", "value"])
-        for row in rows:
-            ln_n = format(math.log(row.n), ".17g")
-            if row.mean_g > 0:
-                writer.writerow([format(row.p, ".17g"), "ln_G", ln_n,
-                                 format(math.log(row.mean_g), ".17g")])
-            if row.tau_over_n is not None and row.tau_over_n > 0:
-                writer.writerow([format(row.p, ".17g"), "ln_tau_over_n", ln_n,
-                                 format(math.log(row.tau_over_n), ".17g")])
+    pathio.write_table(long_out, ("p", "series", "ln_n", "value"), series)
     return 0
 
 

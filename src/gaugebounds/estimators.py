@@ -23,13 +23,12 @@ Each of these minima is stated once as the admissible-minimum problem
 tau + j with limit j + 1 and keeps the rows outside B; leave-one-out queries
 every row with limit n under skip_self; the ground truth appends the fresh
 draws to the path and queries them with limit n.  geometry.admissible_mins
-answers every problem, on the fast kernels of the indexed kind unless
-prefix_min_profile (the oracle) or a PrefixNNBackend("naive") asks for the
-definitional scan; every kernel returns the oracle's floats.  It restates
-each problem as row-prefix problems, which are all its kernels answer: an
-exception set moves the kept rows to the front of the path, and on the
-indexed kind each hinge label class is a problem on its own rows.  A passed
-backend receives the pair counts of its last run.
+answers every problem and picks its kernel, on the fast kernels of the
+indexed kind unless prefix_min_profile (the oracle) or a
+PrefixNNBackend("naive") asks for the definitional scan; every kernel
+returns the oracle's floats.  A passed backend receives the pair counts of
+its last run.  G_t, Good-Turing and the Monte Carlo truth all count the
+minima above a threshold, in _exceedance_share.
 
 Summation order is fixed (ascending position, plain left-to-right), so
 results are bit-reproducible.  Apart from the counts a passed backend
@@ -254,10 +253,15 @@ def missing_mass_G(profile: PrefixGaugeProfile) -> float:
     return _ordered_mean(profile.mins)
 
 
+def _exceedance_share(values: np.ndarray, t: float) -> float:
+    """Fraction of values strictly above t, +inf counted: G_t, Good-Turing, Monte Carlo truth."""
+    return float(np.count_nonzero(values > t)) / values.size
+
+
 def missing_mass_Gt(profile: PrefixGaugeProfile, t: float) -> float:
     """Fraction of prefix minima strictly above t (+inf entries count)."""
     _check_parameters(t=t)
-    return float(np.count_nonzero(profile.mins > t)) / profile.mins.size
+    return _exceedance_share(profile.mins, t)
 
 
 def _loo_problem(path: SamplePath, gauge: GaugeSpec) -> tuple[np.ndarray, np.ndarray, None]:
@@ -292,8 +296,7 @@ def good_turing(path: SamplePath, gauge: GaugeSpec, threshold: float) -> float:
     _check_parameters(threshold=threshold)
     if gauge.kind != "lipschitz":
         raise ValueError("good_turing needs a metric gauge: lipschitz, on either base metric")
-    loo = _loo_mins(path, gauge, None)
-    return float(np.count_nonzero(loo > threshold)) / loo.size
+    return _exceedance_share(_loo_mins(path, gauge, None), threshold)
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,6 @@ def true_missing_mass(
     if rng is None:
         raise ValueError("Monte Carlo estimation needs an explicit rng")
     fresh = oracle.draw(rng, n_mc)
-    gaps = _min_gauge_to_path(gauge, path, fresh)
-    p_hat = float(np.count_nonzero(gaps > t)) / n_mc
+    p_hat = _exceedance_share(_min_gauge_to_path(gauge, path, fresh), t)
     se = math.sqrt(p_hat * (1.0 - p_hat) / n_mc)
     return MissingMassEstimate(value=p_hat, std_error=se, exact=False, n_draws=n_mc)

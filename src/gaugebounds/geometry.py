@@ -576,9 +576,13 @@ def _scale(x: np.ndarray, mid: np.ndarray, s: int, out: np.ndarray) -> np.ndarra
 #      order adds gamma_2 (n_q + n_x + 2|G|).  Since
 #      ||a||^2 = ||z_q||^2 + ||z_x||^2 - 2 z_q.z_x,
 #          ||a||^2 >= S_hat - gamma_{D+2} P^2 - 5 D eta.
-#      _gram is the screen's one Gram product.
+#      _gram is the screen's one Gram product and _norms its one row norm.
 def _gram(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(a, b, out=out)
+
+
+def _norms(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.einsum("ij,ij->i", z, z, out=out)
 
 
 #      S_hat = fl(fl(-2 G + n_a) + n_b): one of a, b carries the factor -2.
@@ -703,7 +707,7 @@ def _centres(coords: np.ndarray, mid: np.ndarray, s: int, n_cand: int):
     stride = -(-n_cand // _SAMPLE)
     sample = coords[:n_cand:stride]
     zs = _scale(sample, mid, s, np.empty(sample.shape))
-    ns = np.einsum("ij,ij->i", zs, zs)
+    ns = _norms(zs)
     at, pairs = _farthest_point_centres(zs, ns, min(_n_clusters(n_cand), len(zs)))
     return at * stride, -2.0 * zs[at].T, ns[at], pairs, (zs, ns) if stride == 1 else None
 
@@ -741,7 +745,7 @@ def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
             else:
                 z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
                 if new_norms:
-                    np.einsum("ij,ij->i", z, z, out=norms[rows])
+                    _norms(z, norms[rows])
             _s_hat(z, zc2, norms[rows, None], n_c, out[r0 - g0: rows.stop - g0])
         yield slice(g0, g1), out
 
@@ -1074,12 +1078,17 @@ def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray
 # i < limits[r] with keep[i] (a bool mask over path rows, or None for all)
 # and, under skip_self, i != queries[r].  A query without candidates gets
 # +inf.  admissible_mins is the one place that reads keep and the hinge
-# labels: it restates the problem as row-prefix problems, in which query r
-# sees the rows i < limits[r] (less itself under skip_self), and picks a
-# kernel for them.  Three kernels answer a row-prefix problem, each with its
-# evaluation count: _naive_mins (the gauge_block oracle), _order_min (sorted
-# neighbours at D = 1 and under the discrete metric) and _euclid_min_screened
-# (the certified screen).
+# labels, and the one place that picks a kernel.  It restates the problem as
+# row-prefix problems, in which query r sees the rows i < limits[r] (less
+# itself under skip_self), and answers them with one of three kernels, each
+# with its evaluation count.  _naive_mins, the gauge_block oracle, serves the
+# naive kind (on request only) and regression (no fast kernel); it gates
+# hinge pairs by label.  The indexed kind, the default, takes _order_min
+# (sorted neighbours) under the discrete metric and at D = 1, and
+# _euclid_min_screened (the certified screen) at D >= 2; both minimise the
+# base metric, on each hinge label class separately, and the nondecreasing
+# distance_transform is applied once, to the minima.  Every kernel returns
+# the oracle's floats, so both kinds give the same minima bit for bit.
 #
 # An exception set becomes the same problem on the path with its rows
 # reordered: the kept rows first, in order, then the queries' rows that keep
@@ -1182,17 +1191,6 @@ def _order_min(path: SamplePath, discrete: bool, queries: np.ndarray, limits: np
     return mins, 2 * queries.size
 
 
-def _metric_mins(path: SamplePath, discrete: bool, queries: np.ndarray, limits: np.ndarray,
-                 skip_self: bool) -> tuple[np.ndarray, int, int]:
-    """Base-metric minima of a row-prefix problem, with the pairs valued in any
-    form and the Gram-screened share: _order_min under the discrete metric and
-    at D = 1, _euclid_min_screened otherwise."""
-    if discrete or path.dim == 1:
-        return (*_order_min(path, discrete, queries, limits, skip_self), 0)
-    dmins, screened, exact = _euclid_min_screened(path.coords, queries, limits, skip_self)
-    return dmins, screened + exact, screened
-
-
 def admissible_mins(
     gauge: GaugeSpec,
     path: SamplePath,
@@ -1204,17 +1202,8 @@ def admissible_mins(
 ) -> tuple[np.ndarray, int, int]:
     """Gauge minima of one admissible-minimum problem on a backend kind,
     "naive" or "indexed", with the pairs valued in any form and the
-    Gram-screened share of them.  The one place that picks a kernel.
-
-    A keep mask first becomes the row-prefix problem on the reordered path
-    (the block above _BAND_ROWS).  naive, the definitional scan that runs
-    only on request, and regression, which no fast kernel serves, then take
-    _naive_mins, which gates hinge pairs by label as the definition does.
-    indexed, the default, minimizes the base metric, on each hinge label
-    class separately, and applies the nondecreasing distance_transform once,
-    to the minimum.  Every kernel returns the oracle's floats, so both kinds
-    give the same minima bit for bit.
-    """
+    Gram-screened share of them.  The one place that picks a kernel (the
+    block above _BAND_ROWS)."""
     if keep is not None:
         kept = np.flatnonzero(keep[: int(limits.max())])
         rows = np.concatenate((kept, np.setdiff1d(queries, kept)))
@@ -1225,18 +1214,22 @@ def admissible_mins(
         mins, evaluations = _naive_mins(gauge, path, queries, limits, skip_self)
         return mins, evaluations, 0
     discrete = gauge.metric == "discrete"
-    if gauge.kind != "hinge":
-        dmins, evaluations, screened = _metric_mins(path, discrete, queries, limits, skip_self)
-    else:
-        dmins, evaluations, screened = np.full(queries.size, np.inf), 0, 0
-        for label in (-1, 1):
+    dmins, evaluations, screened = np.full(queries.size, np.inf), 0, 0
+    for label in (-1, 1) if gauge.kind == "hinge" else (None,):
+        part, mine, at, upto = path, slice(None), queries, limits
+        if label is not None:
             rows = np.flatnonzero(path.labels == label)
             mine = np.flatnonzero(path.labels[queries] == label)
-            if mine.size:
-                at, upto = np.searchsorted(rows, (queries[mine], limits[mine]))
-                dmins[mine], count, share = _metric_mins(path._take(rows), discrete, at, upto,
-                                                         skip_self)
-                evaluations, screened = evaluations + count, screened + share
+            if not mine.size:
+                continue
+            part = path._take(rows)
+            at, upto = np.searchsorted(rows, (queries[mine], limits[mine]))
+        if discrete or part.dim == 1:
+            dmins[mine], count = _order_min(part, discrete, at, upto, skip_self)
+        else:
+            dmins[mine], share, exact = _euclid_min_screened(part.coords, at, upto, skip_self)
+            count, screened = share + exact, screened + share
+        evaluations += count
     return distance_transform(gauge)(dmins), evaluations, screened
 
 

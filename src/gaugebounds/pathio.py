@@ -1,14 +1,14 @@
-"""Path files: CSV and raw binary, both float-exact round trips.
+"""Path files, CSV and raw binary, both float-exact round trips, and CLI tables.
 
-The file name decides the format: a name ending in `.bin` is binary, any
-other name is CSV, for writing and reading alike.
+A path file's name decides its format: a name ending in `.bin` is binary,
+any other name is CSV, for writing and reading alike.
 
-CSV: comma-separated, one point per row.  The header names the columns:
-coordinates c0..c{D-1}, plus `label` or `target` for product points, or a
-single `symbol` column for discrete paths.  Reals are written with 17
-significant digits, which round-trips IEEE doubles exactly, and rows end in
-CRLF, as csv.writer ends them.  numpy.savetxt streams the rows to the file
-one at a time, so the writer holds no text of the whole path.
+CSV, for paths and every table the command line writes (write_table:
+estimate's profile dump, study's wide and long tables): a header row naming
+the columns, then comma-separated rows streamed one at a time, each ending
+in CRLF, as csv.writer ends them, with reals in 17 significant digits, which
+round-trip IEEE doubles exactly.  A path's columns are c0..c{D-1}, plus
+`label` or `target` for product points, or `symbol` for discrete paths.
 
 Binary: a 16-byte little-endian header (magic, n, D) followed by the payload
 as float64 rows, written and read straight from and into arrays.
@@ -35,34 +35,55 @@ import numpy as np
 from .geometry import SamplePath
 
 __all__ = ["write_path_csv", "read_path_csv", "write_path_bin", "read_path_bin",
-           "write_path", "read_path"]
+           "write_path", "read_path", "write_table"]
 
 _VARIANT_BYTE = {"coords": b"c", "symbol": b"s", "labeled": b"l", "paired": b"p"}
 _BYTE_VARIANT = {v: k for k, v in _VARIANT_BYTE.items()}
 _HEADER = struct.Struct("<4sQI")
 _MAX_BIN_SYMBOL = 2 ** 53
+_REAL = "%.17g"
 
 
-def _layout(path: SamplePath) -> tuple[str, np.ndarray, list[str]]:
-    """Header row, (n, k) table and per-column %-formats of a path: the CSV
-    file's rows, and as float64 the binary payload."""
+def _write_csv(file, header: str, rows) -> None:
+    """Every CSV file: the header row, then each row's text, all ending in CRLF."""
+    with FsPath(file).open("w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for row in rows:
+            fh.write(row + "\r\n")
+
+
+def _layout(path: SamplePath) -> tuple[str, np.ndarray, str]:
+    """Header row, (n, k) table and row %-format of a path: the CSV file's
+    rows, and as float64 the binary payload."""
     if path.kind == "symbol":
-        return "symbol", path.symbols.reshape(-1, 1), ["%d"]
+        return "symbol", path.symbols.reshape(-1, 1), "%d"
     header = [f"c{i}" for i in range(path.dim)]
-    fmt = ["%.17g"] * path.dim
+    fmt = [_REAL] * path.dim
     if path.kind == "coords":
-        return ",".join(header), path.coords, fmt
+        return ",".join(header), path.coords, ",".join(fmt)
     # labels of -1/+1 are exact in the float64 table
     name, column, last = (("label", path.labels, "%d") if path.kind == "labeled"
-                          else ("target", path.targets, "%.17g"))
-    return ",".join(header + [name]), np.column_stack((path.coords, column)), fmt + [last]
+                          else ("target", path.targets, _REAL))
+    return (",".join(header + [name]), np.column_stack((path.coords, column)),
+            ",".join(fmt + [last]))
 
 
 def write_path_csv(path: SamplePath, file) -> None:
-    header, table, fmt = _layout(path)
-    with FsPath(file).open("w", newline="") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
-                   header=header, comments="")
+    header, table, line = _layout(path)
+    _write_csv(file, header, (line % tuple(row) for row in table))
+
+
+def _field(value) -> str:
+    """A table field: a name as it is, None empty, an integer or a real."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    return ("%d" if isinstance(value, (int, np.integer)) else _REAL) % value
+
+
+def write_table(file, header, rows) -> None:
+    """Write a CLI table as CSV: the names in header, then one row per entry
+    of rows, each field by _field."""
+    _write_csv(file, ",".join(header), (",".join(map(_field, row)) for row in rows))
 
 
 def _field_count_error(file: FsPath, width: int) -> ValueError | None:

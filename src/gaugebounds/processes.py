@@ -205,35 +205,38 @@ def _raster_render(template: np.ndarray, angles: np.ndarray, scales: np.ndarray)
     width = size + 2 * pad
     center = (size - 1) / 2.0
     grid = np.arange(size, dtype=np.float64) - center
-    px = np.tile(grid, size)            # column offsets, row-major pixels
-    py = np.repeat(grid, size)          # row offsets
     padded = np.zeros((width, width), dtype=np.float64)
     padded[pad:pad + size, pad:pad + size] = template
-    padded = padded.ravel()
+    # one row per corner of each cell, in the weights' order, so that np.take
+    # returns each corner contiguous; the appended zeros complete unread cells
+    padded = np.append(padded.ravel(), np.zeros(width + 1))
+    corners = padded[[0, 1, width, width + 1] + np.arange(width * width)[:, None]].T.copy()
     cos_all = np.cos(angles)
     sin_all = np.sin(angles)
     inv_all = 1.0 / scales
     out = np.empty((angles.shape[0], size * size), dtype=np.float64)
     for start in range(0, out.shape[0], _RASTER_ROWS):
         rows = slice(start, start + _RASTER_ROWS)
-        cos = cos_all[rows, None]
-        sin = sin_all[rows, None]
-        inv_s = inv_all[rows, None]
-        # inverse map: rotate by -angle, undo the scale, then bilinear-sample
-        sx = (cos * px + sin * py) * inv_s + center
-        sy = (-sin * px + cos * py) * inv_s + center
-        x0 = np.floor(sx)
-        y0 = np.floor(sy)
-        fx = sx - x0
-        fy = sy - y0
-        corner = (np.clip(y0, -pad, size).astype(np.intp) + pad) * width
-        corner += np.clip(x0, -pad, size).astype(np.intp) + pad
-        gx = 1 - fx
-        gy = 1 - fy
+        cos, sin, inv_s = cos_all[rows, None], sin_all[rows, None], inv_all[rows, None]
+        # inverse map: rotate by -angle, undo the scale, then bilinear-sample;
+        # pixel (r, c), row-major, has column offset grid[c] and row offset grid[r]
+        sx = ((cos * grid)[:, None, :] + (sin * grid)[:, :, None]).reshape(-1, size * size)
+        sy = ((-sin * grid)[:, None, :] + (cos * grid)[:, :, None]).reshape(-1, size * size)
+        sx, sy = np.multiply(sx, inv_s, out=sx), np.multiply(sy, inv_s, out=sy)
+        sx += center
+        sy += center
+        x0, y0 = np.floor(sx), np.floor(sy)
+        fx, fy = np.subtract(sx, x0, out=sx), np.subtract(sy, y0, out=sy)
+        gx, gy = 1 - fx, 1 - fy
+        # the cell index, an integer that float arithmetic holds exactly
+        cell = (np.clip(y0, -pad, size, out=y0) + pad) * width + np.clip(x0, -pad, size, out=x0)
+        cell += pad
         block = out[rows]
         block[...] = 0.0
-        for offset, w in ((0, gx * gy), (1, fx * gy), (width, gx * fy), (width + 1, fx * fy)):
-            block += w * padded[corner + offset]
+        values = np.take(corners, cell.astype(np.intp), axis=1)
+        for v, wx, wy in zip(values, (gx, fx, gx, fx), (gy, gy, fy, fy)):
+            v *= wx * wy
+            block += v
         block -= block.mean(axis=1, keepdims=True)
         with np.errstate(over="ignore"):
             norms = np.sqrt((block * block).sum(axis=1))

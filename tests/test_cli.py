@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gaugebounds
@@ -437,6 +438,31 @@ def test_profile_dump_bytes(tmp_path):
     assert dump.read_bytes() == ref.getvalue().encode()
     assert [line.split(",")[2] for line in dump.read_text().splitlines()[1:]] == \
         ["inf", "9.9998886718268301e-321", "3.3333333333333334e-301", "6e-301"]
+
+
+def test_table_writer_bytes_are_csv_writers(tmp_path):
+    # every CLI table goes through pathio.write_table: its bytes are what
+    # csv.writer writes with each real formatted by %.17g.  A study of a chain
+    # without resets (p = 0) has no mixing time, so its rows leave tau_mix and
+    # tau_over_n empty; the long table names its series
+    wide = [(0.0, 128, 0.0, 0.0, 2, None, None),
+            (0.1, 4096, 1e-300, 5e-324, 1, 22, 22 / 4096),
+            (np.float64(0.5), np.int64(7), math.inf, -0.0, 3, 1, 1 / 7)]
+    long = [(0.1, "ln_G", math.log(16), math.log(0.25)),
+            (0.1, "ln_tau_over_n", math.log(16), math.log(22 / 16))]
+    for rows, header in ((wide, ("p", "n", "mean_G", "std_G", "n_seeds", "tau_mix", "tau_over_n")),
+                         (long, ("p", "series", "ln_n", "value"))):
+        out = tmp_path / "table.csv"
+        pathio.write_table(out, header, iter(rows))
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else v if isinstance(v, (str, int, np.integer))
+                             else format(float(v), ".17g") for v in row])
+        assert out.read_bytes() == ref.getvalue().encode()
+    assert out.read_text().splitlines()[1] == "0.10000000000000001,ln_G,2.7725887222397811," \
+        "-1.3862943611198906"
 
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):

@@ -54,6 +54,14 @@ def test_every_lazy_name_is_its_defining_modules_object():
     assert python("-c", code).split() == [str(len(gaugebounds.__all__)), "True"]
 
 
+def test_importing_the_cli_loads_neither_numpy_nor_csv():
+    # pathio writes every CLI table, and only a subcommand that reads or
+    # writes a file loads it, with numpy and csv
+    out = python("-c", "import sys, gaugebounds.cli\n"
+                       "print('numpy' in sys.modules, 'csv' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
 def test_cli_stubs_are_package_attributes():
     # cli registers its modules as lazy stubs; each is also an attribute of
     # the package, as an imported submodule is, and binding it runs nothing
