@@ -1,11 +1,14 @@
 """Command-line surface: simulate, estimate, bound, validate, study.
 
-All randomness flows from a single --seed; subcommands expand it into
-sub-stream seeds through numpy SeedSequence spawning, so a run is
-reproducible from one integer.  Reports are JSON with a fixed field order
-(plus a trailing generated_at timestamp); tables are CSV.  Every failure
-prints one line of machine-readable error JSON to stderr and exits nonzero:
-2 for a malformed command line, 1 for any other failure.
+All randomness flows from a single --seed, so a run is reproducible from
+one integer: simulate spawns three sub-streams from it (numpy
+SeedSequence); validate --check coverage and study draw per-trial seeds
+with SeedSequence(seed).generate_state; validate --check martingale and
+good-turing seed one Philox generator with it.  Reports are JSON with a
+fixed field order (plus a trailing generated_at timestamp); tables are
+CSV.  Every failure prints one line of machine-readable error JSON to
+stderr and exits nonzero: 2 for a malformed command line, 1 for any other
+failure.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ concurrent use.  +inf is IEEE infinity, never a sentinel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -503,18 +502,17 @@ def _neq_block(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
 # With one centre this is the plain screen.
 #
 # No scaled copy of the path is stored: step (2) scales rows where a product
-# needs them (the front end's row blocks, which read the sample where it is
-# every candidate, the sample, a cluster's members once per visit, each
-# tile's queries), and a scaled value depends on its row alone, so each
-# Gram input is the one a stored copy would hold, or that row times a power
-# of two that leaves each of its products unchanged (step (3)).  The BLAS
-# result of a pair may depend on the shape of its product (OpenBLAS 0.3.31
-# gives a row other last bits in blocks of other heights), so the
-# query-major pass takes S_hat in the front end's own row blocks: the
-# front end keeps its first _TILE / 4 values and the pass recomputes the
-# rest, and every count is what a stored copy gave.  The call holds O(n)
-# values besides a few tiles, those kept values, one cluster's scaled
-# members and the (query, cluster) pairs that pass 2 screens.
+# needs them (the sample, the front end's row blocks, a cluster's members
+# once per visit, each tile's queries), and a scaled value depends on its
+# row alone, so each Gram input is the one a stored copy would hold, or
+# that row times a power of two that leaves each of its products unchanged
+# (step (3)).  The BLAS result of a pair may depend on the shape of its
+# product (OpenBLAS 0.3.31 gives a row other last bits in blocks of other
+# heights), so the front end and the query-major pass take every row's
+# norm and S_hat from one generator, _front_s_hat, in the same row blocks,
+# and every count is what a stored copy gave.  The call holds O(n) values
+# besides a few tiles, one cluster's scaled members and the (query,
+# cluster) pairs that pass 2 screens.
 #
 # Derivation.  u = 2^-53, eta = 2^-1074 (an underflowing product or scaling
 # errs by at most eta/2; additions never do), gamma_k = k u / (1 - k u)
@@ -593,15 +591,15 @@ def _s_hat(a: np.ndarray, b: np.ndarray, na, nb, out: np.ndarray | None = None) 
     return s_hat
 
 
-#      A pass tile and the query-major pass split the powers of two of
-#      -2 z_q . z_x between the sides of their products: the query rows are
-#      fl(x - c) 2^t, with t = 0 where 0 <= s <= 511 and t = s elsewhere,
-#      and the other side is -2^(1+s-t) z_x (a tile's members: fl(x - c) 2^t
-#      times -2^(1+2(s-t))).  Where t = 0 these scalings are exact (scaling
-#      up never rounds, and the factors are finite floats), so each
-#      elementary product is the real number (-2 z_q,k) z_x,k and rounds as
-#      that product does: G is bit for bit that of -2 z_q against z_x, and
-#      a query row costs one subtraction (_scale skips a shift of 0).
+#      A pass tile splits the powers of two of -2 z_q . z_x between the
+#      sides of its product: the query rows are fl(x - c) 2^t, with t = 0
+#      where 0 <= s <= 511 and t = s elsewhere, and the members are
+#      -2^(1+s-t) z_x, computed as fl(x - c) 2^t times -2^(1+2(s-t)).
+#      Where t = 0 these scalings are exact (scaling up never rounds, and
+#      the factors are finite floats), so each elementary product is the
+#      real number (-2 z_q,k) z_x,k and rounds as that product does: G is
+#      bit for bit that of -2 z_q against z_x, and a query row costs one
+#      subtraction (_scale skips a shift of 0).
 #      _tile_shift takes t.
 def _tile_shift(s: int) -> int:
     return 0 if 0 <= s <= 511 else s
@@ -701,15 +699,14 @@ def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int) -> tuple[n
 
 def _centres(coords: np.ndarray, mid: np.ndarray, s: int, n_cand: int):
     """Farthest-point centres from an evenly strided sample of the first
-    n_cand rows: their path rows, -2 z_c^T, their norms, the pairs the
-    traversal valued and, where the sample is every one of those rows, its
-    scaled rows and norms."""
+    n_cand rows: their path rows, -2 z_c^T, their norms and the pairs the
+    traversal valued."""
     stride = -(-n_cand // _SAMPLE)
     sample = coords[:n_cand:stride]
     zs = _scale(sample, mid, s, np.empty(sample.shape))
     ns = _norms(zs)
     at, pairs = _farthest_point_centres(zs, ns, min(_n_clusters(n_cand), len(zs)))
-    return at * stride, -2.0 * zs[at].T, ns[at], pairs, (zs, ns) if stride == 1 else None
+    return at * stride, -2.0 * zs[at].T, ns[at], pairs
 
 
 def _centre_bounds(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
@@ -721,14 +718,13 @@ def _centre_bounds(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
 
 
 def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
-                 n_c: np.ndarray, norms: np.ndarray, first: int = 0, new_norms: bool = False,
-                 pre: tuple | None = None):
+                 n_c: np.ndarray, norms: np.ndarray, first: int = 0):
     """(rows, S_hat) of the path rows against the centres (zc2 = -2 z_c^T,
-    norms n_c), group by group from the one that holds row first: each
-    product is one front-end block of rows, scaled into one reused buffer
-    or read from pre (the scaled first rows of the path and their norms),
-    and a group is two blocks (about _TILE / 8 values).  With new_norms
-    each block first writes its rows' norms into norms."""
+    norms n_c), group by group from the one that holds row first, each in
+    one reused buffer.  A group is two blocks of rows (about _TILE / 8
+    values); each block is scaled into one reused buffer, writes its rows'
+    norms into norms and is one product.  The blocks do not depend on
+    first, so each row's norm and S_hat are the same bits from any first."""
     (n, dim), k = coords.shape, n_c.size
     step = max(1, (_TILE >> 4) // k)
     span = 2 * step
@@ -738,14 +734,8 @@ def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
         out = sh[: (g1 - g0) * k].reshape(-1, k)
         for r0 in range(g0, g1, step):
             rows = slice(r0, min(g1, r0 + step))
-            if pre is not None and rows.stop <= len(pre[0]):
-                z = pre[0][rows]
-                if new_norms:
-                    norms[rows] = pre[1][rows]
-            else:
-                z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
-                if new_norms:
-                    _norms(z, norms[rows])
+            z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
+            _norms(z, norms[rows])
             _s_hat(z, zc2, norms[rows, None], n_c, out[r0 - g0: rows.stop - g0])
         yield slice(g0, g1), out
 
@@ -843,12 +833,12 @@ def _screen_kept(scr: _Screen, b: int, rows: np.ndarray, thr: np.ndarray,
 
 
 def _live_pairs(scr: _Screen, norms: np.ndarray, zc2: np.ndarray, n_c: np.ndarray,
-                front: list, own: np.ndarray, reach_q: np.ndarray, reach_c: np.ndarray):
+                own: np.ndarray, reach_q: np.ndarray, reach_c: np.ndarray):
     """The (query, cluster) pairs that step (6) cannot prune, own clusters and
     empty ones left out: query numbers grouped by cluster in query order,
-    and each cluster's start in them.  S_hat comes from the front end: the
-    groups it kept in front, then its products again in the same row blocks
-    (norms in path order).  Each pair is held as one key
+    and each cluster's start in them.  S_hat and the norms (in path order)
+    come from _front_s_hat, from the group of the first query row on, as
+    the front end took them.  Each pair is held as one key
     b * len(queries) + q, in 32 bits where that fits."""
     k, dim, s, m = n_c.size, scr.coords.shape[1], scr.s, scr.queries.size
     empty = scr.bounds[:-1] == scr.bounds[1:]
@@ -856,10 +846,7 @@ def _live_pairs(scr: _Screen, norms: np.ndarray, zc2: np.ndarray, n_c: np.ndarra
     rows_of = scr.queries[by_row]
     key_type = np.int32 if k * m < 2 ** 31 else np.int64
     cols, keys = np.arange(k, dtype=key_type) * m, []
-    # the front end's products with the powers of two split (step (3))
-    t, first = _tile_shift(s), max(int(rows_of[0]), front[-1][0].stop if front else 0)
-    again = _front_s_hat(scr.coords, scr.mid, t, zc2 * 2.0 ** (s - t), n_c, norms, first)
-    for rows, sh in itertools.chain(front, again if first < len(norms) else ()):
+    for rows, sh in _front_s_hat(scr.coords, scr.mid, s, zc2, n_c, norms, int(rows_of[0])):
         lo, hi = np.searchsorted(rows_of, (rows.start, rows.stop))
         q, pos = by_row[lo:hi], rows_of[lo:hi] - rows.start
         if pos.size < len(sh) or (pos != np.arange(pos.size)).any():
@@ -901,19 +888,14 @@ def _euclid_min_screened(
             return mins, 0, 0
         mid, s = _centre_and_shift(coords)
 
-        centres, zc2, n_c, screened, pre = _centres(coords, mid, s, n_cand)
+        centres, zc2, n_c, screened = _centres(coords, mid, s, n_cand)
         k = centres.size
 
-        # every row's norm and nearest centre by S_hat (ties to the earlier one);
-        # the groups within the first _TILE / 4 values are kept for pass 2
+        # every row's norm and nearest centre by S_hat (ties to the earlier one)
         norms = np.empty(n)
         nearest = np.empty(n, dtype=np.intp)
-        front = []
-        for rows, sh in _front_s_hat(coords, mid, s, zc2, n_c, norms, new_norms=True, pre=pre):
+        for rows, sh in _front_s_hat(coords, mid, s, zc2, n_c, norms):
             nearest[rows] = sh.argmin(axis=1)
-            if rows.stop * k <= _TILE >> 2:
-                front.append((rows, sh.copy()))
-        del pre
         screened += n * k
 
         # rows ordered by (cluster, position); non-candidates go last
@@ -942,8 +924,7 @@ def _euclid_min_screened(
         # pass 2: each other cluster with the queries step (6) cannot prune for
         # it under the bounds of pass 1, evaluated after all of them: each
         # row's best kept pair first, then what its bound leaves
-        live, at = _live_pairs(scr, norms, zc2, n_c, front, own, np.ldexp(mins, s),
-                               np.ldexp(radius, s))
+        live, at = _live_pairs(scr, norms, zc2, n_c, own, np.ldexp(mins, s), np.ldexp(radius, s))
         thr, found = _prune_threshold(mins, s, dim), []
         for b in np.flatnonzero(at[:-1] < at[1:]):
             count, kept = _screen_kept(scr, b, live[at[b]: at[b + 1]].astype(np.intp), thr, buf)

@@ -424,19 +424,24 @@ def test_scaled_rows_are_the_whole_path_scaling(coords, data):
     block = geometry._scale(coords[r0:r1], mid, s, np.empty((r1 - r0, dim)))
     assert np.array_equal(_bits(block), _bits(z[r0:r1]))
     assert np.array_equal(_bits(np.einsum("ij,ij->i", block, block)), _bits(norms[r0:r1]))
-    # the front end's norms, from the group that holds row first on, with
-    # the first rows read from the traversal's sample or not
+    # the front end's groups from the one that holds row first on: the row
+    # slices, S_hat and norms of a pass from row 0, bit for bit, and those
+    # norms are the whole path's
     centres = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     first = data.draw(st.integers(0, n - 1))
-    p = data.draw(st.integers(0, n))
-    pre = data.draw(st.sampled_from([None, (z[:p], norms[:p])]))
-    got = np.full(n, np.nan)
+    zc2, n_c = -2.0 * z[centres].T, norms[centres]
+    whole, got = np.full(n, np.nan), np.full(n, np.nan)
     with mock.patch.object(geometry, "_TILE", data.draw(tiles) or geometry._TILE):
-        groups = [rows for rows, _sh in geometry._front_s_hat(
-            coords, mid, s, -2.0 * z[centres].T, norms[centres], got, first, new_norms=True,
-            pre=pre)]
-    start = groups[0].start
-    assert start <= first < groups[0].stop
+        ref = [(rows, sh.copy())
+               for rows, sh in geometry._front_s_hat(coords, mid, s, zc2, n_c, whole)]
+        groups = [(rows, sh.copy())
+                  for rows, sh in geometry._front_s_hat(coords, mid, s, zc2, n_c, got, first)]
+    start = groups[0][0].start
+    assert start <= first < groups[0][0].stop
+    assert [rows for rows, _sh in groups] == [rows for rows, _sh in ref if rows.start >= start]
+    for (_rows, sh), (_ref_rows, ref_sh) in zip(groups, ref[-len(groups):]):
+        assert np.array_equal(_bits(sh), _bits(ref_sh))
+    assert np.array_equal(_bits(whole), _bits(norms))
     assert np.array_equal(_bits(got[start:]), _bits(norms[start:]))
 
 
@@ -508,13 +513,12 @@ def test_every_gram_input_is_a_row_of_the_whole_path_scaling(coords, tile, n_clu
 def test_query_major_pass_emits_exactly_the_pairs_step_6_keeps(coords, n_clusters, tile, seed,
                                                                  nudge):
     # every query against every centre by step (6) itself, from the front
-    # end's S_hat, with pass-1 bounds and radii placed near the boundary and
-    # any number of the front end's groups kept
+    # end's S_hat, with pass-1 bounds and radii placed near the boundary
     n, dim = coords.shape
     rng = np.random.default_rng(seed)
     mid, s, _z, norms = _whole_path_scaling(coords)
     with np.errstate(over="ignore"), _patched(tile, n_clusters):
-        centres, zc2, n_c, _pairs, _pre = geometry._centres(coords, mid, s, n)
+        centres, zc2, n_c, _pairs = geometry._centres(coords, mid, s, n)
         k = centres.size
         groups = [(r, b.copy()) for r, b in geometry._front_s_hat(coords, mid, s, zc2, n_c, norms)]
         sh = np.concatenate([b for _r, b in groups])
@@ -534,8 +538,6 @@ def test_query_major_pass_emits_exactly_the_pairs_step_6_keeps(coords, n_cluster
         own = nearest[queries]
         keep = lam <= geometry._reach(reach_q[:, None], reach_c, s, dim)
         keep &= (bounds[:-1] < bounds[1:]) & (np.arange(k) != own[:, None])
-        # the query-major pass takes the first groups as the front end kept them
-        front = [(r, b.copy()) for r, b in groups[: int(rng.integers(0, len(groups) + 1))]]
-        live, at = geometry._live_pairs(scr, norms, zc2, n_c, front, own, reach_q, reach_c)
+        live, at = geometry._live_pairs(scr, norms, zc2, n_c, own, reach_q, reach_c)
     for b in range(k):
         assert np.array_equal(live[at[b]: at[b + 1]], np.flatnonzero(keep[:, b]))
