@@ -171,7 +171,8 @@ class ProcessSpec:
 
 
 def mixing_time(p: float, eps: float = 0.1) -> int | None:
-    """Smallest tau with (1 - p)^tau <= eps; None when p = 0, 1 when p = 1."""
+    """Smallest tau with (1 - p)^tau <= eps; None when p = 0, 1 when p = 1.
+    Where 1 - p rounds to 1, the real-arithmetic value."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not 0.0 < eps < 1.0:
@@ -180,6 +181,11 @@ def mixing_time(p: float, eps: float = 0.1) -> int | None:
         return None
     if p == 1.0:
         return 1
+    if 1.0 - p == 1.0:
+        tau = math.log(eps) / math.log1p(-p)
+        if tau == math.inf:
+            raise ValueError(f"the mixing time at p = {p} overflows a float")
+        return math.ceil(tau)
     tau = max(1, math.ceil(math.log(eps) / math.log(1.0 - p) - 1e-12))
     while (1.0 - p) ** tau > eps:
         tau += 1

@@ -109,6 +109,8 @@ class ExceptionSet:
         if phi.ndim != 1 or phi.size == 0:
             raise ValueError("phi_values must be a nonempty 1-d array")
         n_eff = phi.size
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
         count = _exception_count(alpha, n_eff)
         if not 0 <= count < n_eff:
             raise ValueError("alpha must lie in [0, 1) after scaling by n_eff")

@@ -678,34 +678,27 @@ def _n_clusters(n: int) -> int:
 _SAMPLE = 1024
 
 
-def _farthest_point_centres(z: np.ndarray, norms: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """Up to k rows of z by farthest-point traversal from row 0, compared by
-    the uncorrected S_hat (step (6) holds for any centres), and the number
-    of pairs valued on the way (len(z) per traversal step)."""
-    far = np.full(z.shape[0], np.inf)
-    row = np.empty(z.shape[0])
-    centres, steps = [0], 0
-    while len(centres) < k:
-        c = centres[-1]
-        _s_hat(z, -2.0 * z[c], norms, norms[c], row)
-        steps += 1
-        np.minimum(far, row, out=far)
-        c = int(far.argmax())          # the lowest index among ties
-        if not far[c] > 0.0:
-            break                      # every row sits on a centre
-        centres.append(c)
-    return np.asarray(centres, dtype=np.intp), steps * z.shape[0]
-
-
 def _centres(coords: np.ndarray, mid: np.ndarray, s: int, n_cand: int):
-    """Farthest-point centres from an evenly strided sample of the first
-    n_cand rows: their path rows, -2 z_c^T, their norms and the pairs the
-    traversal valued."""
+    """Up to _n_clusters(n_cand) centres by farthest-point traversal, from row
+    0, of an evenly strided sample of the first n_cand rows, compared by the
+    uncorrected S_hat (step (6) holds for any centres): their path rows,
+    -2 z_c^T, their norms and the pairs the traversal valued (the sample's
+    rows per traversal step)."""
     stride = -(-n_cand // _SAMPLE)
     sample = coords[:n_cand:stride]
     zs = _scale(sample, mid, s, np.empty(sample.shape))
     ns = _norms(zs)
-    at, pairs = _farthest_point_centres(zs, ns, min(_n_clusters(n_cand), len(zs)))
+    far, row = np.full(len(zs), np.inf), np.empty(len(zs))
+    at, pairs = [0], 0
+    while len(at) < min(_n_clusters(n_cand), len(zs)):
+        _s_hat(zs, -2.0 * zs[at[-1]], ns, ns[at[-1]], row)
+        pairs += len(zs)
+        np.minimum(far, row, out=far)
+        c = int(far.argmax())          # the lowest index among ties
+        if not far[c] > 0.0:
+            break                      # every row sits on a centre
+        at.append(c)
+    at = np.asarray(at, dtype=np.intp)
     return at * stride, -2.0 * zs[at].T, ns[at], pairs
 
 
@@ -720,24 +713,20 @@ def _centre_bounds(s_hat: np.ndarray, na, nb, dim: int) -> np.ndarray:
 def _front_s_hat(coords: np.ndarray, mid: np.ndarray, s: int, zc2: np.ndarray,
                  n_c: np.ndarray, norms: np.ndarray, first: int = 0):
     """(rows, S_hat) of the path rows against the centres (zc2 = -2 z_c^T,
-    norms n_c), group by group from the one that holds row first, each in
-    one reused buffer.  A group is two blocks of rows (about _TILE / 8
-    values); each block is scaled into one reused buffer, writes its rows'
-    norms into norms and is one product.  The blocks do not depend on
-    first, so each row's norm and S_hat are the same bits from any first."""
+    norms n_c), block by block from the one that holds row first.  A block
+    of rows (about _TILE / 16 values) is scaled into one reused buffer,
+    writes its rows' norms into norms and is one product, into a second
+    reused buffer.  The blocks do not depend on first, so each row's norm
+    and S_hat are the same bits from any first."""
     (n, dim), k = coords.shape, n_c.size
     step = max(1, (_TILE >> 4) // k)
-    span = 2 * step
-    zb, sh = np.empty(min(n, step) * dim), np.empty(min(n, span) * k)
-    for g0 in range(first - first % span, n, span):
-        g1 = min(n, g0 + span)
-        out = sh[: (g1 - g0) * k].reshape(-1, k)
-        for r0 in range(g0, g1, step):
-            rows = slice(r0, min(g1, r0 + step))
-            z = _scale(coords[rows], mid, s, zb[: (rows.stop - r0) * dim].reshape(-1, dim))
-            _norms(z, norms[rows])
-            _s_hat(z, zc2, norms[rows, None], n_c, out[r0 - g0: rows.stop - g0])
-        yield slice(g0, g1), out
+    zb, sh = np.empty(min(n, step) * dim), np.empty(min(n, step) * k)
+    for r0 in range(first - first % step, n, step):
+        rows = slice(r0, min(n, r0 + step))
+        h = rows.stop - r0
+        z = _scale(coords[rows], mid, s, zb[: h * dim].reshape(h, dim))
+        _norms(z, norms[rows])
+        yield rows, _s_hat(z, zc2, norms[rows, None], n_c, sh[: h * k].reshape(h, k))
 
 
 # One screen call: the path rows coords with step (2)'s mid and s, the
@@ -837,25 +826,25 @@ def _live_pairs(scr: _Screen, norms: np.ndarray, zc2: np.ndarray, n_c: np.ndarra
     """The (query, cluster) pairs that step (6) cannot prune, own clusters and
     empty ones left out: query numbers grouped by cluster in query order,
     and each cluster's start in them.  S_hat and the norms (in path order)
-    come from _front_s_hat, from the group of the first query row on, as
+    come from _front_s_hat, from the block of the first query row on, as
     the front end took them.  Each pair is held as one key
-    b * len(queries) + q, in 32 bits where that fits."""
+    b * len(queries) + q."""
     k, dim, s, m = n_c.size, scr.coords.shape[1], scr.s, scr.queries.size
     empty = scr.bounds[:-1] == scr.bounds[1:]
     by_row = np.argsort(scr.queries, kind="stable")
     rows_of = scr.queries[by_row]
-    key_type = np.int32 if k * m < 2 ** 31 else np.int64
-    cols, keys = np.arange(k, dtype=key_type) * m, []
+    keys = []
     for rows, sh in _front_s_hat(scr.coords, scr.mid, s, zc2, n_c, norms, int(rows_of[0])):
         lo, hi = np.searchsorted(rows_of, (rows.start, rows.stop))
-        q, pos = by_row[lo:hi], rows_of[lo:hi] - rows.start
-        if pos.size < len(sh) or (pos != np.arange(pos.size)).any():
-            sh = sh[pos]
-        lam = _centre_bounds(sh, norms[scr.queries[q], None], n_c, dim)
+        q, qrow = by_row[lo:hi], rows_of[lo:hi]
+        lam = _centre_bounds(sh[qrow - rows.start], norms[qrow, None], n_c, dim)
         live = lam <= _reach(reach_q[q, None], reach_c, s, dim)
         live[:, empty] = False
         live[np.arange(q.size), own[q]] = False
-        keys.append((cols + q[:, None].astype(key_type))[live])
+        # keys of the live entries alone: a key for every entry, then a mask,
+        # took about a tenth of this pass at Fourier-8 n = 2^17
+        r, b = np.divmod(np.flatnonzero(live), k)
+        keys.append(b * m + q[r])
     key = np.concatenate(keys)
     del keys
     key.sort()
@@ -927,7 +916,7 @@ def _euclid_min_screened(
         live, at = _live_pairs(scr, norms, zc2, n_c, own, np.ldexp(mins, s), np.ldexp(radius, s))
         thr, found = _prune_threshold(mins, s, dim), []
         for b in np.flatnonzero(at[:-1] < at[1:]):
-            count, kept = _screen_kept(scr, b, live[at[b]: at[b + 1]].astype(np.intp), thr, buf)
+            count, kept = _screen_kept(scr, b, live[at[b]: at[b + 1]], thr, buf)
             screened += count
             found += kept
         if found:
@@ -1076,10 +1065,11 @@ def gauge_block(gauge: GaugeSpec, path: SamplePath, queries, cand) -> np.ndarray
 # leaves out, ascending.  Query r's candidates are then the first
 # searchsorted(kept, limits[r]) rows, and a query that keep leaves out sits
 # past every limit, so skip_self never drops a candidate for it.  A hinge
-# label class is the Lipschitz problem, with the same L, on the class's own
-# rows, which keep their order, so a prefix maps to a prefix.  Each kernel
-# evaluates the same pairs with the same arithmetic as before the reordering,
-# so the minima are the oracle's floats.
+# label class is the Lipschitz problem, with the same L, for the class's
+# queries with the class as keep, so the same rule restates it on the
+# class's rows, in order.  Each kernel evaluates the same pairs with the
+# same arithmetic as before the reordering, so the minima are the oracle's
+# floats.
 # ---------------------------------------------------------------------------
 
 # Rows per _naive_mins block where the limits differ.  Ascending limits (the
@@ -1187,30 +1177,32 @@ def admissible_mins(
     block above _BAND_ROWS)."""
     if keep is not None:
         kept = np.flatnonzero(keep[: int(limits.max())])
-        rows = np.concatenate((kept, np.setdiff1d(queries, kept)))
+        left = np.zeros(len(path), dtype=bool)
+        left[queries] = True
+        left[kept] = False
+        rows = np.concatenate((kept, np.flatnonzero(left)))
         pos = np.empty(len(path), dtype=np.intp)
         pos[rows] = np.arange(rows.size)
         path, queries, limits = path._take(rows), pos[queries], np.searchsorted(kept, limits)
     if kind == "naive" or gauge.kind == "regression":
         mins, evaluations = _naive_mins(gauge, path, queries, limits, skip_self)
         return mins, evaluations, 0
-    discrete = gauge.metric == "discrete"
-    dmins, evaluations, screened = np.full(queries.size, np.inf), 0, 0
-    for label in (-1, 1) if gauge.kind == "hinge" else (None,):
-        part, mine, at, upto = path, slice(None), queries, limits
-        if label is not None:
-            rows = np.flatnonzero(path.labels == label)
+    if gauge.kind == "hinge":
+        mins, evaluations, screened = np.full(queries.size, np.inf), 0, 0
+        for label in (-1, 1):
             mine = np.flatnonzero(path.labels[queries] == label)
-            if not mine.size:
-                continue
-            part = path._take(rows)
-            at, upto = np.searchsorted(rows, (queries[mine], limits[mine]))
-        if discrete or part.dim == 1:
-            dmins[mine], count = _order_min(part, discrete, at, upto, skip_self)
-        else:
-            dmins[mine], share, exact = _euclid_min_screened(part.coords, at, upto, skip_self)
-            count, screened = share + exact, screened + share
-        evaluations += count
+            if mine.size:
+                mins[mine], count, share = admissible_mins(
+                    GaugeSpec.lipschitz(gauge.L), path, kind, queries[mine], limits[mine],
+                    path.labels == label, skip_self)
+                evaluations, screened = evaluations + count, screened + share
+        return mins, evaluations, screened
+    discrete, screened = gauge.metric == "discrete", 0
+    if discrete or path.dim == 1:
+        dmins, evaluations = _order_min(path, discrete, queries, limits, skip_self)
+    else:
+        dmins, screened, exact = _euclid_min_screened(path.coords, queries, limits, skip_self)
+        evaluations = screened + exact
     return distance_transform(gauge)(dmins), evaluations, screened
 
 

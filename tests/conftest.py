@@ -1,8 +1,9 @@
 """Hypothesis profiles, chosen by the HYPOTHESIS_PROFILE environment variable.
 
 "default" runs 120 examples per property that does not set its own count
-(the screen and certificate properties); "deep" runs 2000, a search long
-enough to reach rounding cases that 120 random examples rarely do.
+(the screen, certificate and kernel-contract properties); "deep" runs 2000,
+a search long enough to reach rounding cases that 120 random examples
+rarely do.
 Properties that set max_examples themselves keep their count under both.
 """
 

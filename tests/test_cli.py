@@ -199,6 +199,14 @@ class TestStudyCommand:
             fields = line.split(",")
             assert float(fields[2]) == 0.0
 
+    def test_reset_probability_below_half_an_ulp_of_one(self, tmp_path):
+        # 1 - p rounds to 1, so tau_mix is the real-arithmetic value
+        out = tmp_path / "s.csv"
+        assert run(["study", "--process", "circle:p=1e-17", "--tau", "1", "--sizes", "8",
+                    "--n-seeds", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [int(r["tau_mix"]) for r in rows] == [math.ceil(math.log(0.1) / math.log1p(-1e-17))]
+
     def test_long_format_axes(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run(["study", "--process", "circle:p=0.5", "--gauge", "lipschitz:L=1",

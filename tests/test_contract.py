@@ -36,8 +36,7 @@ from gaugebounds.geometry import (
 )
 from test_screen import adversarial_coords
 
-SETTINGS = settings(max_examples=100, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 SHAPES = ("prefix", "prefix-exceptions", "leave-one-out", "truth", "arbitrary")
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,3 +322,8 @@ class TestExceptionSet:
     def test_worst_phi_fraction_must_scale_to_integer(self):
         with pytest.raises(ValueError, match=r"^alpha \* n_eff = 1\.5 is not an integer$"):
             ExceptionSet.worst_phi(np.array([0.1, 0.2, 0.3]), alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf, -0.25, 1.0])
+    def test_worst_phi_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must lie in [0, 1), got {alpha}")):
+            ExceptionSet.worst_phi(np.array([0.1, 0.2, 0.3, 0.4]), alpha=alpha)

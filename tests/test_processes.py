@@ -156,6 +156,25 @@ class TestMixing:
         assert mixing_time(0.0) is None
         assert mixing_time(0.001) == 2302
 
+    @pytest.mark.parametrize("p, tau", [
+        (0.1, 22), (1e-3, 2302), (1e-10, 23025849024),
+        (1e-16, 20739842733593683), (2.0 ** -53, 20739842733593683),
+    ])
+    def test_float_powers_where_one_minus_p_is_below_one(self, p, tau):
+        assert mixing_time(p) == tau
+        assert (1.0 - p) ** tau <= 0.1 < (1.0 - p) ** (tau - 1)
+
+    @pytest.mark.parametrize("p", [2.0 ** -54, 1e-17, 1e-300])
+    def test_real_value_where_one_minus_p_rounds_to_one(self, p):
+        # every float power of 1 - p is 1 here, so the loop would never end
+        assert 1.0 - p == 1.0
+        assert mixing_time(p) == math.ceil(math.log(0.1) / math.log1p(-p))
+        assert mixing_time(p) > mixing_time(2.0 ** -53)
+
+    def test_overflowing_mixing_time_names_p(self):
+        with pytest.raises(ValueError, match="p = 5e-324"):
+            mixing_time(5e-324)
+
     def test_iid_process_has_no_chain_bound(self):
         with pytest.raises(ValueError, match="iid"):
             mixing_bounds(ProcessSpec.iid_uniform("circle"), 2)
